@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/spec.hpp"
 #include "gen/topologies.hpp"
 #include "sim/trial.hpp"
@@ -42,7 +43,7 @@ struct BenchConfig {
       cfg.sizes.push_back(static_cast<std::size_t>(v));
     cfg.trials = static_cast<std::size_t>(cli.get_int("trials", 30));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-    cfg.threads = static_cast<unsigned>(cli.get_int("threads", 1));
+    cfg.threads = core::engine_options_from_cli(cli).threads;
     cfg.csv_path = cli.get("csv", "");
     return cfg;
   }

@@ -82,15 +82,6 @@ void BM_ConsumeRoundChangesClean(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsumeRoundChangesClean)->Arg(64)->Arg(256);
 
-// One steady-state round, incremental vs flag-gated legacy detection.
-void BM_RoundAtFixpointLegacy(benchmark::State& state) {
-  auto engine = stable_engine(static_cast<std::size_t>(state.range(0)));
-  core::Engine legacy(engine.network(), {.legacy_fixpoint = true});
-  legacy.step();  // prime the snapshot
-  for (auto _ : state) benchmark::DoNotOptimize(legacy.step());
-}
-BENCHMARK(BM_RoundAtFixpointLegacy)->Arg(64)->Arg(256);
-
 void BM_SpecCompute(benchmark::State& state) {
   auto engine = stable_engine(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)

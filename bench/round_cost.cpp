@@ -1,24 +1,22 @@
 // Steady-state round cost at scale: ns/round for the active-set scheduler
-// vs. the flag-gated full scan vs. the legacy serialize-per-round path, at n
-// in {1k, 10k, 50k}. The workload is the exact fixpoint state materialized
-// from the StableSpec, so every measured round is an unchanged round -- the
-// case every long-running scaling/churn scenario spends almost all of its
-// time in. A second table measures the rounds right after crashing k peers
-// (k in {1, 10, 100}), where the scheduler's cost should track the
-// perturbation, not n.
+// vs. the flag-gated full scan, at n in {1k, 10k, 50k}. The workload is the
+// exact fixpoint state materialized from the StableSpec, so every measured
+// round is an unchanged round -- the case every long-running scaling/churn
+// scenario spends almost all of its time in. A second table measures the
+// rounds right after crashing k peers (k in {1, 10, 100}), where the
+// scheduler's cost should track the perturbation, not n.
 //
 // A third table measures the exact-fixpoint CONVERGENCE TAIL (DESIGN.md
-// §6.6): from a random connected bring-up state, total scheduler work
-// (live + replayed peer-rounds) until the exact fixpoint, with the
-// translation closure on vs the pre-closure eviction cascade
-// (--no-translate). The round COUNT is identical by construction (the two
-// closures are bit-identical per round); the work ratio is the win.
+// §6.6): from a random connected bring-up state, the rounds and the
+// scheduler work (live + replayed peer-rounds) until the exact fixpoint.
+// The bench exits 1 when a tail run misses the fixpoint within its round
+// cap.
 //
 //   ./bench_round_cost [--sizes 1000,10000,50000] [--rounds 30]
-//                      [--full-rounds N] [--legacy-rounds N] [--threads T]
+//                      [--full-rounds N] [--threads T]
 //                      [--seed S] [--csv out.csv] [--churn-sizes 10000]
 //                      [--churn-ks 1,10,100] [--churn-rounds 12]
-//                      [--tail-sizes 2000] [--tail-baseline-max 20000]
+//                      [--tail-sizes 2000]
 //                      [--assert-speedup X]   (exit 1 if active-set is not
 //                                              at least X times faster than
 //                                              the full scan at every size)
@@ -28,10 +26,6 @@
 // ({"bench","params","metric","value"} -- see bench::BenchJson) for perf
 // tracking; --profile prints the engine phase-timing table (DESIGN.md §11)
 // at exit.
-//
-// --tail-sizes above --tail-baseline-max run the translation closure only
-// (the eviction-cascade baseline is O(n^2) total work there -- the point of
-// the closure -- so the A/B column shows a dash).
 //
 // --csv OUT writes the steady-state table to OUT and the k-churn recovery
 // table to OUT with a `.churn` suffix inserted (foo.csv -> foo.churn.csv),
@@ -57,8 +51,8 @@ struct Measurement {
 Measurement run_rounds(core::Engine& engine, std::size_t rounds) {
   // Warm up outside the timed section until the engine is in its steady
   // regime: the baseline build, the all-live cache-recording round and (for
-  // the full-scan/legacy paths, which never go quiescent) a bounded number
-  // of plain rounds.
+  // the full scan, which never goes quiescent) a bounded number of plain
+  // rounds.
   Measurement m;
   for (int w = 0; w < 3; ++w) {
     const auto mt = engine.step();
@@ -114,12 +108,10 @@ std::string fmt(double v, std::size_t digits = 5) {
 }
 
 // Full bring-up from a random connected state to the EXACT fixpoint,
-// accumulating the scheduler work split. The translation closure and the
-// eviction cascade are bit-identical per round, so the two modes converge
-// at the same round; only the work differs.
+// accumulating the scheduler work split.
 struct TailResult {
   std::uint64_t rounds = 0;
-  std::uint64_t live = 0, replayed = 0, skipped = 0;
+  std::uint64_t live = 0, replayed = 0;
   double wall_ms = 0.0;
   bool converged = false;
 };
@@ -137,7 +129,6 @@ TailResult run_tail(std::size_t n, std::uint64_t seed,
     const auto mt = engine.step();
     t.live += mt.active_peers;
     t.replayed += mt.replayed_peers;
-    t.skipped += mt.skipped_peers;
     if (!mt.changed) {
       t.converged = true;
       break;
@@ -176,7 +167,7 @@ int main(int argc, char** argv) {
   const bench::ProfileGuard prof(cli);
   bench::BenchJson json(cli.get("json", ""));
   bench::banner(
-      "round_cost: steady-state ns/round, active-set vs full scan vs legacy",
+      "round_cost: steady-state ns/round, active-set vs full scan",
       "quiescence-driven scheduler (ISSUE 2) on top of ISSUE 1's overhaul");
 
   std::vector<std::size_t> sizes;
@@ -190,15 +181,12 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(1, cli.get_int("rounds", 30)));
   const auto full_rounds = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("full-rounds", 10)));
-  const auto legacy_rounds = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("legacy-rounds", 5)));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
   const core::EngineOptions base_opt = core::engine_options_from_cli(cli);
 
   util::Table table({"n", "live nodes", "edges", "active ns/round",
-                     "full ns/round", "legacy ns/round", "act/full",
-                     "act/legacy", "edge-set MiB"});
+                     "full ns/round", "act/full", "edge-set MiB"});
   bool assert_ok = true;
   for (std::size_t n : sizes) {
     core::Network net = bench::stable_network(n, seed);
@@ -212,35 +200,26 @@ int main(int argc, char** argv) {
 
     core::EngineOptions full_opt = base_opt;
     full_opt.full_scan = true;
-    core::Engine full(net, full_opt);
+    core::Engine full(std::move(net), full_opt);
     const Measurement mf = run_rounds(full, full_rounds);
 
-    core::EngineOptions legacy_opt = base_opt;
-    legacy_opt.legacy_fixpoint = true;
-    core::Engine legacy(std::move(net), legacy_opt);
-    const Measurement ml = run_rounds(legacy, legacy_rounds);
-
-    if (!ma.stayed_fixed || !mf.stayed_fixed || !ml.stayed_fixed)
+    if (!ma.stayed_fixed || !mf.stayed_fixed)
       std::printf("WARNING: n=%zu did not stay at the fixpoint\n", n);
 
     const double su_full = mf.ns_per_round / ma.ns_per_round;
-    const double su_legacy = ml.ns_per_round / ma.ns_per_round;
     if (assert_speedup > 0.0 && su_full < assert_speedup) assert_ok = false;
     const double mib = static_cast<double>(ma.edge_bytes) / (1024.0 * 1024.0);
     table.add_row(
         {std::to_string(n), std::to_string(nodes), std::to_string(edges),
          std::to_string(static_cast<std::int64_t>(ma.ns_per_round)),
          std::to_string(static_cast<std::int64_t>(mf.ns_per_round)),
-         std::to_string(static_cast<std::int64_t>(ml.ns_per_round)),
-         fmt(su_full), fmt(su_legacy), fmt(mib, 6)});
+         fmt(su_full), fmt(mib, 6)});
 
     const bench::BenchJson::Params jp{
         {"n", bench::jnum(static_cast<std::uint64_t>(n))}};
     json.record("round_cost", jp, "active_ns_per_round", ma.ns_per_round);
     json.record("round_cost", jp, "full_ns_per_round", mf.ns_per_round);
-    json.record("round_cost", jp, "legacy_ns_per_round", ml.ns_per_round);
     json.record("round_cost", jp, "speedup_vs_full", su_full);
-    json.record("round_cost", jp, "speedup_vs_legacy", su_legacy);
     json.record("round_cost", jp, "edge_set_mib", mib);
   }
   table.print(std::cout);
@@ -298,74 +277,35 @@ int main(int argc, char** argv) {
       write_table_csv(churn_table, churn_csv_path(cli.csv_path()));
   }
 
-  // -- exact-fixpoint convergence tail: translation closure A/B -------------
+  // -- exact-fixpoint convergence tail -------------------------------------
   // The long tail of bring-up is dominated by uniformly-translating
-  // connection-edge chains. Pre-§6.6 the closure's eviction cascade replayed
-  // every chain member every round (O(n^2) total work); the translation
-  // closure fast-forwards them. Rounds-to-fixpoint are identical in both
-  // modes by construction; "work" = live + replayed peer-rounds.
+  // connection-edge chains, which the translation closure fast-forwards;
+  // "work" = live + replayed peer-rounds.
   std::vector<std::size_t> tail_sizes;
   for (auto v : cli.get_int_list("tail-sizes", {2000}))
     if (v > 0) tail_sizes.push_back(static_cast<std::size_t>(v));
-  const auto tail_baseline_max = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, cli.get_int("tail-baseline-max", 20000)));
   bool tail_ok = true;
   if (!tail_sizes.empty()) {
     std::printf("\nconvergence tail to the exact fixpoint (random connected "
                 "start; work = live + replayed peer-rounds):\n");
-    util::Table tail_table({"n", "closure", "rounds", "live", "replayed",
-                            "work", "work ratio", "wall ms"});
+    util::Table tail_table(
+        {"n", "rounds", "live", "replayed", "work", "wall ms"});
     for (std::size_t n : tail_sizes) {
-      core::EngineOptions tr_opt = base_opt;
-      tr_opt.translate_chains = true;
-      const TailResult tr = run_tail(n, seed, tr_opt);
+      const TailResult tr = run_tail(n, seed, base_opt);
       if (!tr.converged) tail_ok = false;
-      const std::uint64_t tr_work = tr.live + tr.replayed;
-
-      TailResult ev;
-      std::uint64_t ev_work = 0;
-      const bool run_baseline = n <= tail_baseline_max;
-      if (run_baseline) {
-        core::EngineOptions ev_opt = base_opt;
-        ev_opt.translate_chains = false;
-        ev = run_tail(n, seed, ev_opt);
-        if (!ev.converged || ev.rounds != tr.rounds) tail_ok = false;
-        ev_work = ev.live + ev.replayed;
-        tail_table.add_row(
-            {std::to_string(n), "evict", std::to_string(ev.rounds),
-             std::to_string(ev.live), std::to_string(ev.replayed),
-             std::to_string(ev_work), "1.00", fmt(ev.wall_ms, 8)});
-        const bench::BenchJson::Params jp{
-            {"n", bench::jnum(static_cast<std::uint64_t>(n))},
-            {"closure", bench::jstr("evict")}};
-        json.record("round_cost.tail", jp, "rounds", ev.rounds);
-        json.record("round_cost.tail", jp, "work", ev_work);
-        json.record("round_cost.tail", jp, "wall_ms", ev.wall_ms);
-      }
-      tail_table.add_row(
-          {std::to_string(n), "translate", std::to_string(tr.rounds),
-           std::to_string(tr.live), std::to_string(tr.replayed),
-           std::to_string(tr_work),
-           run_baseline && tr_work > 0
-               ? fmt(static_cast<double>(ev_work) /
-                     static_cast<double>(tr_work))
-               : "-",
-           fmt(tr.wall_ms, 8)});
+      const std::uint64_t work = tr.live + tr.replayed;
+      tail_table.add_row({std::to_string(n), std::to_string(tr.rounds),
+                          std::to_string(tr.live), std::to_string(tr.replayed),
+                          std::to_string(work), fmt(tr.wall_ms, 8)});
       const bench::BenchJson::Params jp{
-          {"n", bench::jnum(static_cast<std::uint64_t>(n))},
-          {"closure", bench::jstr("translate")}};
+          {"n", bench::jnum(static_cast<std::uint64_t>(n))}};
       json.record("round_cost.tail", jp, "rounds", tr.rounds);
-      json.record("round_cost.tail", jp, "work", tr_work);
+      json.record("round_cost.tail", jp, "work", work);
       json.record("round_cost.tail", jp, "wall_ms", tr.wall_ms);
-      if (run_baseline && tr_work > 0)
-        json.record("round_cost.tail", jp, "work_ratio",
-                    static_cast<double>(ev_work) /
-                        static_cast<double>(tr_work));
     }
     tail_table.print(std::cout);
     if (!tail_ok)
-      std::printf("WARNING: a tail run missed the exact fixpoint or the two "
-                  "closures disagreed on the convergence round\n");
+      std::printf("WARNING: a tail run missed the exact fixpoint\n");
   }
 
   json.note();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/churn.hpp"
 #include "util/cli.hpp"
@@ -13,6 +15,10 @@
 namespace rechord::core {
 
 namespace {
+// Largest accepted --threads value: each thread beyond the first is a
+// persistent OS worker, so a typo must not ask for thousands of them.
+constexpr std::int64_t kMaxThreads = 256;
+
 // Deterministic per-(seed, round, index) coin with probability p.
 bool fault_coin(std::uint64_t seed, std::uint64_t round, std::uint64_t index,
                 double p) {
@@ -24,20 +30,20 @@ bool fault_coin(std::uint64_t seed, std::uint64_t round, std::uint64_t index,
 
 EngineOptions engine_options_from_cli(const util::Cli& cli,
                                       EngineOptions base) {
-  base.threads = static_cast<unsigned>(std::max<std::int64_t>(
-      1, cli.get_int("threads", static_cast<std::int64_t>(base.threads))));
+  const std::int64_t threads =
+      cli.get_int("threads", static_cast<std::int64_t>(base.threads));
+  if (threads < 1 || threads > kMaxThreads)
+    throw std::invalid_argument("--threads: expected a value in [1, " +
+                                std::to_string(kMaxThreads) + "], got " +
+                                std::to_string(threads));
+  base.threads = static_cast<unsigned>(threads);
   if (cli.get_flag("full-scan")) base.full_scan = true;
-  if (cli.get_flag("legacy-fixpoint")) base.legacy_fixpoint = true;
-  if (cli.get_flag("no-translate")) base.translate_chains = false;
   return base;
 }
 
 Engine::Engine(Network net, EngineOptions opt)
     : net_(std::move(net)), opt_(opt) {
   if (opt_.threads == 0) opt_.threads = 1;
-  // The legacy serialize-per-round detector predates the per-slot change
-  // tracking the scheduler's wake mechanism is built on.
-  if (opt_.legacy_fixpoint) opt_.full_scan = true;
 }
 
 std::uint32_t Engine::join_peer(RingPos id, std::uint32_t contact_owner) {
@@ -207,9 +213,9 @@ void Engine::compute_skip_set() {
   //       replays applies its recorded removals and needs the skipped
   //       peer's re-adds; a referenced owner whose aliveness pattern moved
   //       would resolve the op differently at commit. Either way the peer
-  //       must emit -- which under the TRANSLATION CLOSURE (the default,
-  //       DESIGN.md §6.6) no longer requires replaying: the peer is demoted
-  //       to emit-only ("boundary") -- still skipped, but its cached ops are
+  //       must emit -- which under the TRANSLATION CLOSURE (DESIGN.md
+  //       §6.6) does not require replaying: the peer is demoted to
+  //       emit-only ("boundary") -- still skipped, but its cached ops are
   //       injected verbatim into the round's op stream by run_range. The
   //       injection is exactly what a replay would emit (the cache IS the
   //       pure phase output), and omitting the replay's delta application
@@ -218,12 +224,10 @@ void Engine::compute_skip_set() {
   //       (suppressed with it) or emit duplicates, which are set-level
   //       no-ops against the un-removed edge (network.cpp documents that
   //       duplicate adds leave digests and dirty marks untouched). Hence
-  //       eviction no longer cascades upstream through op_senders_ -- a
+  //       eviction does not cascade upstream through op_senders_ -- a
   //       uniformly-translating chain costs its O(frontier) live peers plus
   //       the boundary injections at the woken fringe instead of replaying
-  //       end to end every round. Under --no-translate the pre-closure
-  //       behavior is kept: referenced owners are evicted transitively via
-  //       the worklist below (the A/B baseline the lockstep tests pin).
+  //       end to end every round.
   //   (2) upstream: no peer running live this round has cached ops into a
   //       skipped peer. A live run may stop re-sending the op that cancels
   //       the skipped peer's recorded removal, so the skipped peer must
@@ -279,42 +283,28 @@ void Engine::compute_skip_set() {
   if (!skip_possible()) return;
   for (std::uint32_t o = 0; o < n; ++o)
     skip_[o] = net_.owner_alive(o) && cache_[o].valid && !wake_[o] ? 1 : 0;
-  const bool translate = opt_.translate_chains;
-  // Lazy rule (2): in a calm translate round the referents of live runners
-  // are evicted AFTER the live runs, and only when the fresh output really
+  // Lazy rule (2): in a calm round the referents of live runners are
+  // evicted AFTER the live runs, and only when the fresh output really
   // dropped the op that referenced them (apply_deferred_evictions). Storm
   // rounds keep the eager eviction -- they record no caches, so there is no
   // fresh output to diff against.
-  lazy_evict_round_ = translate && !bulk_round_;
-  evict_stack_.clear();
-  // Under the translation closure evictions are DIRECT only -- each of the
-  // rules below clears the skip flag of the owners it names, and senders
-  // into those owners are demoted to boundary afterwards instead of being
-  // evicted transitively. The worklist (and its upstream cascade) exists
-  // only for the --no-translate baseline.
-  const auto evict = [this, translate](std::uint32_t d) {
-    if (skip_[d]) {
-      skip_[d] = 0;
-      if (!translate) evict_stack_.push_back(d);
-    }
-  };
-  for (std::uint32_t o = 0; o < n; ++o) {
-    if (!net_.owner_alive(o)) continue;
-    if (!lazy_evict_round_ && (wake_[o] || !cache_[o].valid)) {
+  lazy_evict_round_ = !bulk_round_;
+  // Evictions are DIRECT only -- each of the rules below clears the skip
+  // flag of the owners it names, and senders into those owners are demoted
+  // to boundary afterwards instead of being evicted transitively.
+  if (!lazy_evict_round_)
+    for (std::uint32_t o = 0; o < n; ++o) {
+      if (!net_.owner_alive(o) || !(wake_[o] || !cache_[o].valid)) continue;
       // Rule (2): `o` runs live this round. (An owner merely *evicted* from
       // the skip set replays its cached ops verbatim and triggers nothing.)
       // In lazy rounds this is deferred: the eviction is only needed if the
       // fresh run stops re-sending the op, which run_range detects by
       // diffing the fresh output against the cache.
-      for (std::uint32_t d : cache_[o].op_owners) evict(d);
+      for (std::uint32_t d : cache_[o].op_owners) skip_[d] = 0;
     }
-    // Legacy closure seed for rule (1): senders into a non-skipped owner.
-    if (!translate && !skip_[o] && !op_senders_[o].empty())
-      evict_stack_.push_back(o);
-  }
   for (std::uint32_t o : oob_owners_)
     if (!net_.owner_alive(o))  // departed peers: one-time rule (2) eviction
-      for (std::uint32_t d : cache_[o].op_owners) evict(d);
+      for (std::uint32_t d : cache_[o].op_owners) skip_[d] = 0;
   // Latency rules (DESIGN.md §8). (3) In-flight traffic pins its endpoints:
   // an owner referenced (target or payload) by a queued delayed assignment
   // receives -- or resolves -- a delivery the full scan also performs, so it
@@ -336,7 +326,7 @@ void Engine::compute_skip_set() {
         continue;
       }
       inflight_ref_owners_[w++] = o;
-      evict(o);
+      skip_[o] = 0;
     }
     inflight_ref_owners_.resize(w);
   }
@@ -355,23 +345,15 @@ void Engine::compute_skip_set() {
           }
         pc.delay_memo_epoch = latency_epoch_;
       }
-      if (pc.has_nonzero_delay) evict(o);
+      if (pc.has_nonzero_delay) skip_[o] = 0;
     }
-  if (!translate) {
-    while (!evict_stack_.empty()) {
-      const std::uint32_t d = evict_stack_.back();
-      evict_stack_.pop_back();
-      for (std::uint32_t u : op_senders_[d]) evict(u);
-    }
-    return;
-  }
   // Translation closure, boundary marking (rule (1) without the cascade):
   // every still-skipped sender whose cached ops reference an owner running
   // this round is demoted to emit-only. Dead owners are deliberately not
   // boundary sources -- ops referencing them resolve to dropped in both
-  // modes, so their senders stay fully suppressed (same as the legacy
-  // non-seed treatment of dead owners). Cost: O(owners) plus the op-sender
-  // lists of the non-skipped region -- the woken fringe, not the chains.
+  // modes, so their senders stay fully suppressed. Cost: O(owners) plus the
+  // op-sender lists of the non-skipped region -- the woken fringe, not the
+  // chains.
   std::fill(boundary_.begin(), boundary_.end(), 0);
   for (std::uint32_t o = 0; o < n; ++o) {
     if (skip_[o] || !net_.owner_alive(o)) continue;
@@ -812,9 +794,7 @@ RoundMetrics Engine::step() {
   // pipeline for the round.
   latency_round_ = latency_installed_ &&
                    (!latency_.trivial() || inflight_count_ > 0);
-  if (opt_.legacy_fixpoint) {
-    if (prev_state_.empty()) prev_state_ = net_.serialize_state();
-  } else if (!baseline_ready_) {
+  if (!baseline_ready_) {
     net_.rebuild_change_baseline();
     baseline_ready_ = true;
     if (active) {
@@ -917,15 +897,13 @@ RoundMetrics Engine::step() {
   // meanwhile-deleted virtual node is absorbed by the owning peer's u_m (see
   // DESIGN.md: ghost re-homing); a message to or from a departed peer is
   // dropped. Set insertion into the sorted edge sets is commutative, so the
-  // committed state is independent of delivery order -- which admits three
+  // committed state is independent of delivery order -- which admits two
   // pipelines with identical results:
   //   * loss-free (hot path): apply each op directly, no canonical ordering
   //     needed. Measured fastest -- the per-(target,kind) groups are tiny, so
   //     the O(ops log ops) sorts cost more than they save.
   //   * lossy: sort + dedup for the deterministic per-index drop coins, then
   //     group by (target, kind) and bulk-merge each group in one pass.
-  //   * legacy_fixpoint: the pre-overhaul pipeline (sort + dedup + one
-  //     binary-searched insert per op), kept for the bench comparison.
   {
   util::ScopedPhase commit_span(util::Phase::kCommit);
   auto resolve = [this](Slot s) -> Slot {
@@ -934,7 +912,7 @@ RoundMetrics Engine::step() {
     if (!net_.owner_alive(owner)) return kInvalidSlot;
     return slot_of(owner, net_.max_live_index(owner));
   };
-  if (opt_.message_loss <= 0.0 && !opt_.legacy_fixpoint) {
+  if (opt_.message_loss <= 0.0) {
     for (const DelayedOp& op : ops_) {
       if (partition_active_ && partition_cut(op.target, op.payload)) {
         ++partition_dropped_;
@@ -963,11 +941,7 @@ RoundMetrics Engine::step() {
       const Slot target = resolve(ops_[i].target);
       const Slot payload = resolve(ops_[i].payload);
       if (target == kInvalidSlot || payload == kInvalidSlot) continue;
-      if (opt_.legacy_fixpoint) {
-        net_.add_edge(target, ops_[i].kind, payload);
-      } else {
-        resolved_.push_back({target, ops_[i].kind, payload});
-      }
+      resolved_.push_back({target, ops_[i].kind, payload});
     }
     // Batched delivery: group by (target, kind) and merge each group into
     // the sorted edge set in a single pass. Payloads are pre-sorted by the
@@ -1032,26 +1006,13 @@ RoundMetrics Engine::step() {
   mt.replayed_peers = replayed_peers;
   mt.skipped_peers = skipped_peers;
   mt.boundary_peers = boundary_peers;
-  if (opt_.legacy_fixpoint) {
-    auto state = net_.serialize_state();
-    mt.changed = state != prev_state_;
-    prev_state_ = std::move(state);
-  } else if (active) {
-    changed_owners_.clear();
-    published_owners_.clear();
-    mt.changed =
-        net_.consume_round_changes(&changed_owners_, &published_owners_);
-    apply_wakes();
-  } else {
-    // Full scan also collects the changed-owner list -- not for wakes (there
-    // are none), but so the per-datacenter change flags below stay available
-    // in every non-legacy mode.
-    changed_owners_.clear();
-    published_owners_.clear();
-    mt.changed =
-        net_.consume_round_changes(&changed_owners_, &published_owners_);
-  }
-  if (!dc_of_owner_.empty() && !opt_.legacy_fixpoint) {
+  // Full scan collects the changed-owner list too -- not for wakes (there
+  // are none), but for the per-datacenter change flags below.
+  changed_owners_.clear();
+  published_owners_.clear();
+  mt.changed = net_.consume_round_changes(&changed_owners_, &published_owners_);
+  if (active) apply_wakes();
+  if (!dc_of_owner_.empty()) {
     // Which datacenters moved this round (per-dc convergence lag, scenario
     // CSV). Derived from the digest-level changed-owner list, a pure state
     // property -- identical across scheduler modes and thread counts.
@@ -1063,8 +1024,8 @@ RoundMetrics Engine::step() {
   }
   // In-flight messages are pending state changes: a round that left the
   // latency queue non-empty is never a fixpoint, even when no digest moved
-  // (the queued deliveries land in later rounds). Applies identically to
-  // all three detector paths, so the verdict stays mode-independent.
+  // (the queued deliveries land in later rounds). Applies identically in
+  // both scheduler modes, so the verdict stays mode-independent.
   if (inflight_count_ > 0) mt.changed = true;
   }
   {

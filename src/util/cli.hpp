@@ -18,7 +18,7 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   /// Boolean flag: true for bare `--key`, `--key 1`, `--key=true` etc.;
   /// false when absent or given an explicit falsy value (`--key 0`,
-  /// `--key=false`). Used for --full-scan / --legacy-fixpoint.
+  /// `--key=false`). Used for --full-scan / --profile.
   [[nodiscard]] bool get_flag(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "../bench/common.hpp"
+#include "core/engine.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -196,6 +199,29 @@ TEST(Cli, StrictParsingStillAcceptsValidForms) {
   const char* bare[] = {"prog", "--n", "--full-scan"};
   const Cli none(3, bare);
   EXPECT_EQ(none.get_int("n", 42), 42);
+}
+
+// --threads is bounded on both sides at parse time, by the one parse the
+// engine options and the bench configs share: a negative value must not
+// wrap to 2^32 - 1 and a typo must not ask for thousands of OS threads.
+// Parse level only -- no Engine is built and no thread is started.
+TEST(Cli, ThreadsOutsideOneTo256Throws) {
+  for (const char* bad : {"0", "-1", "257"}) {
+    const char* argv[] = {"prog", "--threads", bad};
+    const Cli cli(3, argv);
+    EXPECT_THROW((void)core::engine_options_from_cli(cli),
+                 std::invalid_argument)
+        << "--threads " << bad;
+    EXPECT_THROW((void)bench::BenchConfig::from_cli(cli),
+                 std::invalid_argument)
+        << "--threads " << bad;
+  }
+  const char* argv[] = {"prog", "--threads", "8"};
+  const Cli cli(3, argv);
+  EXPECT_EQ(core::engine_options_from_cli(cli).threads, 8U);
+  EXPECT_EQ(bench::BenchConfig::from_cli(cli).threads, 8U);
+  const char* none[] = {"prog"};
+  EXPECT_EQ(bench::BenchConfig::from_cli(Cli(1, none)).threads, 1U);
 }
 
 }  // namespace

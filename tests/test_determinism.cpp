@@ -71,30 +71,35 @@ TEST(Determinism, IncrementalTrackingAgreesWithSerializeOn100RandomRounds) {
   EXPECT_GE(rounds_checked, 100U);
 }
 
-// Lockstep equivalence of the flag-gated legacy serialize-per-round detector
-// and the incremental one, across the fixpoint and out-of-band churn applied
-// to both engines (no reset: both detectors attribute the churn delta to the
-// following round).
-TEST(Determinism, LegacyAndIncrementalFixpointDetectorsAgree) {
-  Engine legacy(random_net(30, 51, /*scrambled=*/false),
-                {.legacy_fixpoint = true});
+// Lockstep equivalence of the incremental fixpoint detector with the
+// serialize-per-round reference held here in the test, across the fixpoint
+// and out-of-band churn applied to a full-scan and an active-set engine (no
+// reset: the snapshot is taken at the end of the previous round, before the
+// churn, so the reference attributes the churn delta to the following round
+// -- and so must the detector).
+TEST(Determinism, SerializeReferenceAndIncrementalFixpointDetectorsAgree) {
+  Engine full(random_net(30, 51, /*scrambled=*/false), {.full_scan = true});
   Engine incremental(random_net(30, 51, /*scrambled=*/false), {});
   util::Rng churn_rng(99);
+  auto prev_state = full.network().serialize_state();
   for (int r = 0; r < 80; ++r) {
     if (r == 30 || r == 55) {  // out-of-band churn between rounds
-      const auto owners = legacy.network().live_owners();
+      const auto owners = full.network().live_owners();
       const std::uint32_t victim = owners[owners.size() / 2];
-      crash(legacy.network(), victim);
+      crash(full.network(), victim);
       crash(incremental.network(), victim);
       const RingPos id = churn_rng.next();
-      join(legacy.network(), id, legacy.network().live_owners()[0]);
+      join(full.network(), id, full.network().live_owners()[0]);
       join(incremental.network(), id,
            incremental.network().live_owners()[0]);
     }
-    const auto a = legacy.step();
+    const auto a = full.step();
     const auto b = incremental.step();
+    auto state = full.network().serialize_state();
+    ASSERT_EQ(a.changed, state != prev_state) << "round " << r;
+    prev_state = std::move(state);
     ASSERT_EQ(a.changed, b.changed) << "round " << r;
-    ASSERT_EQ(legacy.network().state_fingerprint(),
+    ASSERT_EQ(full.network().state_fingerprint(),
               incremental.network().state_fingerprint())
         << "round " << r;
   }
