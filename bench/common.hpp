@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -37,15 +38,26 @@ struct BenchConfig {
   unsigned threads = 1;
   std::string csv_path;  // empty = no CSV
 
+  /// Throws std::invalid_argument naming the option when --trials or an
+  /// element of --sizes is below 1, or --threads lies outside [1, 256].
   static BenchConfig from_cli(const util::Cli& cli) {
     BenchConfig cfg;
     for (auto v : cli.get_int_list("sizes", kPaperSizes))
-      cfg.sizes.push_back(static_cast<std::size_t>(v));
-    cfg.trials = static_cast<std::size_t>(cli.get_int("trials", 30));
+      cfg.sizes.push_back(at_least_one("sizes", v));
+    cfg.trials = at_least_one("trials", cli.get_int("trials", 30));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
     cfg.threads = core::engine_options_from_cli(cli).threads;
     cfg.csv_path = cli.get("csv", "");
     return cfg;
+  }
+
+  [[nodiscard]] static std::size_t at_least_one(const char* option,
+                                                std::int64_t v) {
+    if (v < 1)
+      throw std::invalid_argument(std::string("--") + option +
+                                  ": expected a value >= 1, got " +
+                                  std::to_string(v));
+    return static_cast<std::size_t>(v);
   }
 
   [[nodiscard]] sim::TrialConfig base_trial() const {

@@ -442,9 +442,12 @@ void Engine::replay_peer(std::uint32_t owner, const PeerCache& pc,
 }
 
 void Engine::run_range(std::size_t begin, std::size_t end,
-                       std::vector<DelayedOp>& out, unsigned shard) {
-  RuleActivity& act = shard_activity_[shard];
-  RuleArena& arena = arenas_[shard];
+                       std::vector<DelayedOp>& out, ShardState& sh) {
+  // Counted in locals and stored into the shard once at the end: the shard
+  // state is written per peer only through its vectors.
+  RuleActivity act;
+  std::size_t n_active = 0, n_replayed = 0, n_skipped = 0, n_boundary = 0;
+  std::uint64_t n_mismatch = 0;
   const bool active = active_mode();
   // In latency rounds, each peer's contiguous op span is recorded as
   // (owner, count) so route_inflight() can recover the sender -- the op
@@ -455,7 +458,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
     const std::size_t peer_op_base = out.size();
     const auto note_src = [&] {
       if (track_src && out.size() > peer_op_base)
-        shard_op_src_[shard].emplace_back(
+        sh.op_src.emplace_back(
             owner, static_cast<std::uint32_t>(out.size() - peer_op_base));
     };
     bool check = false;
@@ -467,7 +470,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
         // cancel, and compute_skip_set() proved the whole flow rests with
         // it. Touch nothing; count the cached activity so the rule-activity
         // metrics stay mode-independent.
-        ++shard_skipped_[shard];
+        ++n_skipped;
         act += pc->activity;
         if (boundary_[owner]) {
           // Emit-only (translation closure, DESIGN.md §6.6): a downstream
@@ -476,23 +479,23 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           // would produce. Deliveries into still-skipped targets are
           // duplicate set insertions: no-ops that leave digests and dirty
           // marks untouched, so no spurious wakes follow.
-          ++shard_boundary_[shard];
+          ++n_boundary;
           out.insert(out.end(), pc->ops.begin(), pc->ops.end());
           note_src();
         }
         continue;
       }
       if (pc->valid && !wake_[owner]) {
-        ++shard_replayed_[shard];
+        ++n_replayed;
         if (!opt_.paranoid_replay) {
           replay_peer(owner, *pc, out, act);
-          shard_ran_[shard].push_back(owner);
+          sh.ran.push_back(owner);
           note_src();
           continue;
         }
         // Paranoid: run live anyway and diff against the cache below.
         check = true;
-        PeerCache& prev = paranoid_prev_[shard];
+        PeerCache& prev = sh.paranoid_prev;
         prev.delta.swap(pc->delta);
         prev.ops.swap(pc->ops);
         prev.rl.swap(pc->rl);
@@ -502,16 +505,16 @@ void Engine::run_range(std::size_t begin, std::size_t end,
       } else {
         // Keep the previous recording for the notes_fresh comparison (the
         // paranoid branch above already swapped it into the same scratch).
-        paranoid_prev_[shard].delta.swap(pc->delta);
+        sh.paranoid_prev.delta.swap(pc->delta);
       }
       pc->delta.clear();
     }
     // Every peer that reaches the live rule execution counts as active --
     // under full_scan that is every participating peer -- except paranoid
     // cross-check runs, which were already counted as replays.
-    if (!check) ++shard_active_[shard];
+    if (!check) ++n_active;
     const std::size_t op_base = out.size();
-    RuleCtx ctx(net_, owner, out, arena);
+    RuleCtx ctx(net_, owner, out, sh.arena);
     if (active && !bulk_round_) ctx.record = &pc->delta;
     Rules::run_all(ctx);
     act += ctx.activity;
@@ -527,7 +530,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
       rl_next_[s] = kInvalidSlot;
       rr_next_[s] = kInvalidSlot;
     }
-    shard_ran_[shard].push_back(owner);
+    sh.ran.push_back(owner);
     note_src();
     if (active && bulk_round_) {
       // Storm round: ran bare, nothing recorded. The stale cache must not
@@ -545,7 +548,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           static_cast<std::size_t>(out.end() - fresh_begin) ==
               pc->ops.size() &&
           std::equal(fresh_begin, out.end(), pc->ops.begin()) &&
-          pc->delta == paranoid_prev_[shard].delta;
+          pc->delta == sh.paranoid_prev.delta;
       pc->notes_fresh = !output_same;
       if (!output_same) {
         if (lazy_evict_round_ && !pc->op_owners.empty()) {
@@ -555,13 +558,13 @@ void Engine::run_range(std::size_t begin, std::size_t end,
           // the fresh run still emits keeps cancelling its partner, so that
           // partner may rest. An invalidated cache (storm leftovers) has no
           // comparable fresh/old pair: every old reference is collected.
-          auto& pend = shard_pending_evict_[shard];
+          auto& pend = sh.pending_evict;
           if (!pc->valid) {
             pend.insert(pend.end(), pc->op_owners.begin(),
                         pc->op_owners.end());
           } else {
-            auto& old_ops = shard_diff_old_[shard];
-            auto& new_ops = shard_diff_new_[shard];
+            auto& old_ops = sh.diff_old;
+            auto& new_ops = sh.diff_new;
             old_ops.assign(pc->ops.begin(), pc->ops.end());
             new_ops.assign(fresh_begin, out.end());
             std::sort(old_ops.begin(), old_ops.end());
@@ -595,17 +598,23 @@ void Engine::run_range(std::size_t begin, std::size_t end,
       pc->activity = ctx.activity;
       pc->valid = true;
       wake_[owner] = 0;
-      shard_live_[shard].push_back(owner);
+      sh.live.push_back(owner);
       if (check) {
-        const PeerCache& prev = paranoid_prev_[shard];
+        const PeerCache& prev = sh.paranoid_prev;
         if (prev.delta != pc->delta || prev.ops != pc->ops ||
             prev.rl != pc->rl || prev.rr != pc->rr ||
             prev.max_index != pc->max_index ||
             !(prev.activity == pc->activity))
-          ++shard_mismatch_[shard];
+          ++n_mismatch;
       }
     }
   }
+  sh.activity = act;
+  sh.active = n_active;
+  sh.replayed = n_replayed;
+  sh.skipped = n_skipped;
+  sh.boundary = n_boundary;
+  sh.mismatch = n_mismatch;
 }
 
 void Engine::run_peers() {
@@ -625,37 +634,21 @@ void Engine::run_peers() {
       std::min<unsigned>(opt_.threads, static_cast<unsigned>(owners_.size()));
   const bool serial = threads <= 1 || owners_.size() < 64;
   const unsigned shards = serial ? 1 : threads;
-  if (arenas_.size() < shards) arenas_.resize(shards);
-  if (paranoid_prev_.size() < shards) paranoid_prev_.resize(shards);
-  shard_activity_.assign(shards, RuleActivity{});
-  shard_active_.assign(shards, 0);
-  shard_replayed_.assign(shards, 0);
-  shard_skipped_.assign(shards, 0);
-  shard_boundary_.assign(shards, 0);
-  shard_mismatch_.assign(shards, 0);
-  for (auto& v : shard_live_) v.clear();
-  if (shard_live_.size() < shards) shard_live_.resize(shards);
-  for (auto& v : shard_ran_) v.clear();
-  if (shard_ran_.size() < shards) shard_ran_.resize(shards);
-  if (latency_round_) {
-    // Clear every span vector (route_inflight walks them all), not just the
-    // first `shards`, in case a previous round used more shards.
-    for (auto& v : shard_op_src_) v.clear();
-    if (shard_op_src_.size() < shards) shard_op_src_.resize(shards);
-    tail_op_src_.clear();
+  // Every shard is reset, not just the first `shards`: all of them are
+  // walked after the phase, and a previous round may have used more shards.
+  if (shards_.size() < shards) shards_.resize(shards);
+  for (ShardState& sh : shards_) {
+    sh.live.clear();
+    sh.ran.clear();
+    sh.op_src.clear();
+    sh.pending_evict.clear();
+    sh.activity = RuleActivity{};
+    sh.active = sh.replayed = sh.skipped = sh.boundary = 0;
+    sh.mismatch = 0;
   }
-  if (lazy_evict_round_) {
-    // Clear every pending list (apply_deferred_evictions walks them all)
-    // in case a previous round used more shards.
-    for (auto& v : shard_pending_evict_) v.clear();
-    if (shard_pending_evict_.size() < shards) {
-      shard_pending_evict_.resize(shards);
-      shard_diff_old_.resize(shards);
-      shard_diff_new_.resize(shards);
-    }
-  }
+  tail_op_src_.clear();
   if (serial) {
-    run_range(0, owners_.size(), ops_, 0);
+    run_range(0, owners_.size(), ops_, shards_[0]);
     return;
   }
   // NOTE(parallel-safety): a peer mutates only its own slots' sets (live or
@@ -663,21 +656,26 @@ void Engine::run_peers() {
   // only foreign reads are static attributes, real-slot aliveness (changes
   // only out-of-band) and previous-round rl/rr. rl_next/rr_next writes are
   // disjoint per peer, dirty marks are per-slot/per-owner, wake_/cache_
-  // accesses are per-owner, and the network's metric counters are relaxed
-  // atomics. Determinism: queues are concatenated in shard order, which
-  // equals the serial (ascending-owner) emission order.
-  if (shard_ops_.size() < shards) shard_ops_.resize(shards);
+  // accesses are per-owner, each shard writes only its own ShardState, and
+  // the network's metric counters go to the shard's own counter lane, folded
+  // into lane 0 once the pool has joined. Determinism: queues are
+  // concatenated in shard order, which equals the serial (ascending-owner)
+  // emission order, and the lane fold is a commutative sum.
+  net_.reserve_counter_lanes(shards);
   WorkerPool& pool = shared_worker_pool(shards);
   const std::size_t chunk = (owners_.size() + shards - 1) / shards;
   pool.run(shards, [&](unsigned t) {
+    const Network::CounterLaneGuard lane(t);
     const std::size_t begin = std::min<std::size_t>(t * chunk, owners_.size());
     const std::size_t end =
         std::min<std::size_t>(begin + chunk, owners_.size());
-    shard_ops_[t].clear();
-    run_range(begin, end, shard_ops_[t], t);
+    ShardState& sh = shards_[t];
+    sh.ops.clear();
+    run_range(begin, end, sh.ops, sh);
   });
+  net_.fold_counter_lanes();
   for (unsigned t = 0; t < shards; ++t)
-    ops_.insert(ops_.end(), shard_ops_[t].begin(), shard_ops_[t].end());
+    ops_.insert(ops_.end(), shards_[t].ops.begin(), shards_[t].ops.end());
 }
 
 void Engine::apply_deferred_evictions() {
@@ -688,8 +686,8 @@ void Engine::apply_deferred_evictions() {
   // ascending-owner order -- the serial order -- so the deferred pass is
   // thread-count invariant.
   phase_b_.clear();
-  for (const auto& pend : shard_pending_evict_)
-    for (const std::uint32_t d : pend)
+  for (const ShardState& sh : shards_)
+    for (const std::uint32_t d : sh.pending_evict)
       if (skip_[d]) {
         skip_[d] = 0;
         phase_b_.push_back(d);
@@ -708,7 +706,7 @@ void Engine::apply_deferred_evictions() {
     std::size_t base = ops_.size();
     replay_peer(d, cache_[d], ops_, discard);
     ++deferred_replays_;
-    shard_ran_[0].push_back(d);
+    shards_[0].ran.push_back(d);
     if (latency_round_ && ops_.size() > base)
       tail_op_src_.emplace_back(
           d, static_cast<std::uint32_t>(ops_.size() - base));
@@ -775,8 +773,8 @@ void Engine::route_inflight() {
       inflight_ref_add(owner_of(op.payload));
     }
   };
-  for (const auto& spans : shard_op_src_)
-    for (const auto& [owner, count] : spans) route_span(owner, count);
+  for (const ShardState& sh : shards_)
+    for (const auto& [owner, count] : sh.op_src) route_span(owner, count);
   // The deferred pass emits at the tail of ops_, after every shard span.
   for (const auto& [owner, count] : tail_op_src_) route_span(owner, count);
   assert(idx == ops_.size());
@@ -842,20 +840,22 @@ RoundMetrics Engine::step() {
     route_inflight();
   }
   activity_ = RuleActivity{};
-  for (const auto& act : shard_activity_) activity_ += act;
   std::size_t active_peers = 0, replayed_peers = 0, skipped_peers = 0,
               boundary_peers = 0;
-  for (std::size_t v : shard_active_) active_peers += v;
-  for (std::size_t v : shard_replayed_) replayed_peers += v;
-  for (std::size_t v : shard_skipped_) skipped_peers += v;
-  for (std::size_t v : shard_boundary_) boundary_peers += v;
+  for (const ShardState& sh : shards_) {
+    activity_ += sh.activity;
+    active_peers += sh.active;
+    replayed_peers += sh.replayed;
+    skipped_peers += sh.skipped;
+    boundary_peers += sh.boundary;
+    replay_mismatches_ += sh.mismatch;
+  }
   // Deferred rule-(2) replays ran after the skip branch already counted
   // them as skipped; recount them as the replays they were, and count the
   // emit-only injections the deferred pass added.
   skipped_peers -= deferred_replays_;
   replayed_peers += deferred_replays_;
   boundary_peers += deferred_boundary_;
-  for (std::uint64_t v : shard_mismatch_) replay_mismatches_ += v;
   if (active && !mass_reg_pending_) {
     util::ScopedPhase span(util::Phase::kIndexRegister);
     // Reader and op-sender entries for this round's live runs, derived
@@ -872,8 +872,8 @@ RoundMetrics Engine::step() {
     // memo vectors remember what this peer already pushed, so a peer that
     // stays woken through a multi-round recovery pays the (shared, larger)
     // index inserts only for dependencies it has not referenced before.
-    for (const auto& live : shard_live_)
-      for (std::uint32_t o : live) {
+    for (const ShardState& sh : shards_)
+      for (std::uint32_t o : sh.live) {
         PeerCache& pc = cache_[o];
         if (!pc.notes_fresh) continue;  // identical output: all known
         for (const LocalEdit& e : pc.delta)
@@ -975,8 +975,8 @@ RoundMetrics Engine::step() {
   // clears any that refer to dead slots). A peer that was skipped or slept
   // keeps its published values -- for skipped peers that is exactly what a
   // full scan would have republished.
-  for (const auto& ran : shard_ran_)
-    for (std::uint32_t o : ran) {
+  for (const ShardState& sh : shards_)
+    for (std::uint32_t o : sh.ran) {
       const Slot base = slot_of(o, 0);
       for (std::uint32_t i = 0; i < kSlotsPerOwner; ++i) {
         net_.set_rl(base + i, rl_next_[base + i]);

@@ -443,11 +443,6 @@ class Engine {
   std::vector<std::uint8_t> inflight_ref_listed_;
   std::vector<std::uint32_t> inflight_ref_owners_;
   std::vector<DelayedOp> route_buf_;  // route_inflight scratch
-  // Per shard: (owner, op count) runs recording which peer emitted which
-  // contiguous span of the shard's op queue -- the sender is what selects
-  // the delay class. Only maintained while a latency model is installed.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      shard_op_src_;
   std::function<void(const RoundMetrics&)> observer_;
   RuleActivity activity_;
   bool baseline_ready_ = false;  // incremental-tracking baseline
@@ -459,10 +454,34 @@ class Engine {
   std::vector<DelayedOp> resolved_;
   std::vector<Slot> payload_buf_;
   std::vector<Slot> rl_next_, rr_next_;
-  std::vector<RuleActivity> shard_activity_;
-  std::vector<std::vector<DelayedOp>> shard_ops_;
-  std::vector<RuleArena> arenas_;  // one per worker thread
   std::unique_ptr<WorkerPool> pool_;
+
+  /// Everything one shard of the rule phase writes. Shards run on different
+  /// threads, so each shard's state starts on a cache line of its own and
+  /// no shard's per-peer writes touch a line another shard writes
+  /// (DESIGN.md §6.7). run_range counts in locals and stores the counters
+  /// once at the end.
+  struct alignas(64) ShardState {
+    std::vector<DelayedOp> ops;  // emitted ops (sharded rounds only)
+    RuleArena arena;
+    std::vector<std::uint32_t> live;  // owners run live
+    std::vector<std::uint32_t> ran;   // live or replayed
+    /// (owner, op count) runs recording which peer emitted which contiguous
+    /// span of the shard's op queue -- the sender is what selects the delay
+    /// class. Only maintained while a latency model is installed.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> op_src;
+    /// Deferred rule-(2) eviction candidates (see lazy_evict_round_).
+    std::vector<std::uint32_t> pending_evict;
+    std::vector<DelayedOp> diff_old, diff_new;  // dropped-op diff scratch
+    /// The previous recording of the peer being run: notes_fresh compares
+    /// against its delta, the paranoid cross-check against all of it.
+    PeerCache paranoid_prev;
+    RuleActivity activity;
+    std::size_t active = 0, replayed = 0, skipped = 0, boundary = 0;
+    std::uint64_t mismatch = 0;
+  };
+  static_assert(alignof(ShardState) >= 64);
+  std::vector<ShardState> shards_;
 
   // Scheduler state (active-set mode).
   std::vector<PeerCache> cache_;          // per owner
@@ -484,7 +503,8 @@ class Engine {
   /// owners referenced by a live runner's cached ops are NOT evicted up
   /// front -- whether the fresh run keeps re-sending each op is only
   /// knowable after it ran. run_range diffs the fresh output against the
-  /// cache and collects the owners referenced by *dropped* ops per shard;
+  /// cache and collects the owners referenced by *dropped* ops per shard
+  /// (ShardState::pending_evict);
   /// apply_deferred_evictions() then replays the still-skipped ones in the
   /// same round (sound: a round's own-slot edits and emissions
   /// commute -- peers read only round-start state -- so a post-pass replay
@@ -493,9 +513,6 @@ class Engine {
   /// plus the O(1) references the frontier actually moved, not the whole
   /// reference neighborhood of every woken peer.
   bool lazy_evict_round_ = false;
-  std::vector<std::vector<std::uint32_t>> shard_pending_evict_;  // per shard
-  // Per-shard scratch for the dropped-op diff (runs inside run_range).
-  std::vector<std::vector<DelayedOp>> shard_diff_old_, shard_diff_new_;
   std::vector<std::uint32_t> phase_b_;          // deferred replays, in order
   /// Emission spans of the deferred pass, appended after the shard spans in
   /// route_inflight's walk (deferred ops sit at the tail of ops_).
@@ -516,12 +533,6 @@ class Engine {
   /// rebuilt once from ground truth after commit -- before apply_wakes
   /// needs them -- at O(edges + cached ops) total.
   bool mass_reg_pending_ = false;
-  std::vector<PeerCache> paranoid_prev_;  // per shard scratch
-  std::vector<std::vector<std::uint32_t>> shard_live_;  // owners run live
-  std::vector<std::vector<std::uint32_t>> shard_ran_;   // live or replayed
-  std::vector<std::size_t> shard_active_, shard_replayed_, shard_skipped_,
-      shard_boundary_;
-  std::vector<std::uint64_t> shard_mismatch_;
   std::vector<std::uint32_t> changed_owners_, published_owners_;
   std::vector<std::uint32_t> oob_owners_;  // out-of-band-dirty owners
 
@@ -548,7 +559,7 @@ class Engine {
   }
   void run_peers();
   void run_range(std::size_t begin, std::size_t end,
-                 std::vector<DelayedOp>& out, unsigned shard);
+                 std::vector<DelayedOp>& out, ShardState& sh);
   void replay_peer(std::uint32_t owner, const PeerCache& pc,
                    std::vector<DelayedOp>& out, RuleActivity& act);
   void ensure_scheduler_arrays();

@@ -11,7 +11,7 @@
 namespace rechord::core {
 
 Network::Network(std::span<const RingPos> real_ids) {
-  topo_version_.store(1);  // reserve 0 as the "never computed" cache stamp
+  lanes_[0].topo = 1;  // reserve 0 as the "never computed" cache stamp
   owner_pos_.reserve(real_ids.size());
   for (RingPos id : real_ids) add_owner(id);
 }
@@ -92,14 +92,15 @@ bool Network::add_edge(Slot s, EdgeKind k, Slot target) {
   // depend on).
   if (it != set.end() && *it == target) return false;
   set.insert(it, target);
-  if (alive_[s]) edge_live_[static_cast<std::size_t>(k)].add(1);
+  CounterLane& c = lane();
+  if (alive_[s]) ++c.edge_live[static_cast<std::size_t>(k)];
   // `target` may belong to another peer whose worker thread is concurrently
   // flipping the flag in set_alive, so read it atomically (relaxed: either
-  // value is safe -- a spurious dead_refs_ only costs one normalize scan,
+  // value is safe -- a spurious dead_refs only costs one normalize scan,
   // and a real death sets the flag in set_alive itself).
   if (!alive_[s] || !std::atomic_ref<std::uint8_t>(alive_[target])
                          .load(std::memory_order_relaxed))
-    dead_refs_.store(1);
+    c.dead_refs = true;
   mark_dirty(s);
   return true;
 }
@@ -142,10 +143,11 @@ std::size_t Network::add_edges_bulk(Slot s, EdgeKind k,
   // All duplicates: same no-dirty contract as add_edge's duplicate return.
   if (added == 0) return 0;
   set.assign(merge_buf_.begin(), merge_buf_.end());
+  CounterLane& c = lane();
   if (alive_[s])
-    edge_live_[static_cast<std::size_t>(k)].add(
-        static_cast<std::int64_t>(added));
-  if (!alive_[s] || dead_target) dead_refs_.store(1);
+    c.edge_live[static_cast<std::size_t>(k)] +=
+        static_cast<std::int64_t>(added);
+  if (!alive_[s] || dead_target) c.dead_refs = true;
   mark_dirty(s);
   return added;
 }
@@ -158,7 +160,7 @@ bool Network::remove_edge(Slot s, EdgeKind k, Slot target) {
       [this](Slot a, OrderKey kk) { return order_key(a) < kk; });
   if (it == set.end() || *it != target) return false;
   set.erase(it);
-  if (alive_[s]) edge_live_[static_cast<std::size_t>(k)].add(-1);
+  if (alive_[s]) --lane().edge_live[static_cast<std::size_t>(k)];
   mark_dirty(s);
   return true;
 }
@@ -178,7 +180,7 @@ bool Network::clear_edges(Slot s) {
     auto& set = sets_[k][s];
     if (set.empty()) continue;
     if (alive_[s])
-      edge_live_[k].add(-static_cast<std::int64_t>(set.size()));
+      lane().edge_live[k] -= static_cast<std::int64_t>(set.size());
     set.clear();
     any = true;
   }
@@ -187,7 +189,7 @@ bool Network::clear_edges(Slot s) {
 }
 
 void Network::normalize() {
-  if (!dead_refs_.load()) return;  // no dead reference can exist (tracked)
+  if (!lanes_[0].dead_refs) return;  // no dead reference can exist (tracked)
   // Resolve a (possibly dead) reference to a live slot, or kInvalidSlot.
   auto resolve = [this](Slot t) -> Slot {
     if (alive_[t]) return t;
@@ -224,8 +226,8 @@ void Network::normalize() {
       });
       scratch.erase(std::unique(scratch.begin(), scratch.end()),
                     scratch.end());
-      edge_live_[k].add(static_cast<std::int64_t>(scratch.size()) -
-                        static_cast<std::int64_t>(set.size()));
+      lane().edge_live[k] += static_cast<std::int64_t>(scratch.size()) -
+                             static_cast<std::int64_t>(set.size());
       set.assign(scratch.begin(), scratch.end());
       mark_dirty(s);
     }
@@ -237,7 +239,20 @@ void Network::normalize() {
       set_rr(s, kInvalidSlot);
     }
   }
-  dead_refs_.store(0);
+  lanes_[0].dead_refs = false;
+}
+
+void Network::fold_counter_lanes() noexcept {
+  CounterLane& total = lanes_[0];
+  for (std::size_t l = 1; l < lanes_.size(); ++l) {
+    CounterLane& part = lanes_[l];
+    for (int k = 0; k < kEdgeKinds; ++k) total.edge_live[k] += part.edge_live[k];
+    total.live_slots += part.live_slots;
+    total.live_reals += part.live_reals;
+    total.topo += part.topo;
+    total.dead_refs = total.dead_refs || part.dead_refs;
+    part = CounterLane{};
+  }
 }
 
 std::vector<std::uint64_t> Network::serialize_state() const {

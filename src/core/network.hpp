@@ -15,6 +15,7 @@
 // round is detected in O(live slots) instead of serializing the whole state.
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,27 +27,9 @@ namespace rechord::core {
 
 namespace detail {
 
-/// Copyable relaxed atomic cell. Rule workers on different threads bump the
-/// metric counters concurrently; the updates are commutative, so relaxed
-/// ordering suffices and the end-of-round reads are exact.
-template <typename T>
-class RelaxedCell {
- public:
-  RelaxedCell() = default;
-  RelaxedCell(const RelaxedCell& o) noexcept : v_(o.load()) {}
-  RelaxedCell& operator=(const RelaxedCell& o) noexcept {
-    store(o.load());
-    return *this;
-  }
-  [[nodiscard]] T load() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void store(T v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(T d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-
- private:
-  std::atomic<T> v_{};
-};
+/// Counter lane the calling thread's Network mutations write (see
+/// Network::CounterLaneGuard). 0 outside sharded phases.
+inline constinit thread_local unsigned counter_lane = 0;
 
 }  // namespace detail
 
@@ -66,7 +49,7 @@ class Network {
     return alive_[slot_of(owner, 0)];
   }
   [[nodiscard]] std::uint32_t alive_owner_count() const noexcept {
-    return static_cast<std::uint32_t>(live_reals_.load());
+    return static_cast<std::uint32_t>(lanes_[0].live_reals);
   }
   [[nodiscard]] RingPos owner_pos(std::uint32_t owner) const noexcept {
     return owner_pos_[owner];
@@ -98,7 +81,7 @@ class Network {
   /// not touch edges; the engine's commit pass re-homes or drops references
   /// to dead slots. The flag write is a relaxed atomic store: during the
   /// sharded rule phase add_edge on another thread may read a foreign slot's
-  /// flag for dead_refs_ tracking (any torn-free value is conservative
+  /// flag for dead-reference tracking (any torn-free value is conservative
   /// there), and plain byte writes would be a formal data race with that
   /// read.
   bool set_alive(Slot s, bool alive) {
@@ -106,11 +89,12 @@ class Network {
     const std::int64_t delta = alive ? 1 : -1;
     std::atomic_ref<std::uint8_t>(alive_[s]).store(
         alive ? 1 : 0, std::memory_order_relaxed);
-    live_slots_.add(delta);
-    if (is_real_slot(s)) live_reals_.add(delta);
+    CounterLane& c = lane();
+    c.live_slots += delta;
+    if (is_real_slot(s)) c.live_reals += delta;
     for (int k = 0; k < kEdgeKinds; ++k)
-      edge_live_[k].add(delta * static_cast<std::int64_t>(sets_[k][s].size()));
-    if (!alive) dead_refs_.store(1);
+      c.edge_live[k] += delta * static_cast<std::int64_t>(sets_[k][s].size());
+    if (!alive) c.dead_refs = true;
     mark_dirty(s);
     return true;
   }
@@ -161,13 +145,13 @@ class Network {
   void set_rl(Slot s, Slot v) noexcept {
     if (rl_[s] == v) return;
     rl_[s] = v;
-    if (v != kInvalidSlot && !alive_[v]) dead_refs_.store(1);
+    if (v != kInvalidSlot && !alive_[v]) lane().dead_refs = true;
     mark_dirty(s);
   }
   void set_rr(Slot s, Slot v) noexcept {
     if (rr_[s] == v) return;
     rr_[s] = v;
-    if (v != kInvalidSlot && !alive_[v]) dead_refs_.store(1);
+    if (v != kInvalidSlot && !alive_[v]) lane().dead_refs = true;
     mark_dirty(s);
   }
 
@@ -225,7 +209,7 @@ class Network {
   /// the other way -- rl/rr churn bumps it without affecting routing rows.
   /// Starts at 1; 0 is free for "never computed" stamps.
   [[nodiscard]] std::uint64_t topology_version() const noexcept {
-    return topo_version_.load();
+    return lanes_[0].topo;
   }
 
   /// True when any mutation since the last consume_round_changes() touched
@@ -265,17 +249,53 @@ class Network {
   /// than the scattered-insert equivalent.
   void rebuild_reader_index(std::span<const std::uint64_t> extra_pairs = {});
 
+  // -- per-shard counter lanes -------------------------------------------------
+  //
+  // The metric counters below (edge counts, live slots, live reals, the
+  // topology version, the dead-reference flag) are bumped by every mutator.
+  // In a sharded phase each thread mutates only its own peers' slots, but the
+  // counters are global; shared atomics would put every thread's bumps on one
+  // cache line. Instead each thread writes a lane of its own -- plain
+  // counters, each lane on its own cache line -- and the phase's driver folds
+  // the lanes into lane 0 before anyone reads them. Sums commute, so the
+  // folded values equal what a serial run leaves (DESIGN.md §6.7).
+
+  /// Makes room for `lanes` counter lanes (never shrinks). Call before a
+  /// sharded phase selects lanes [0, lanes). Single-threaded use only.
+  void reserve_counter_lanes(unsigned lanes) {
+    if (lanes_.size() < lanes) lanes_.resize(lanes);
+  }
+  /// Adds lanes 1.. into lane 0 and zeroes them. Call after every thread of
+  /// a sharded phase has finished and before any counter is read.
+  void fold_counter_lanes() noexcept;
+
+  /// Selects the lane the current thread's mutations write for the guard's
+  /// lifetime (lane 0 again afterwards). The lane must have been reserved,
+  /// and no two threads may hold the same lane of one network at once.
+  class CounterLaneGuard {
+   public:
+    explicit CounterLaneGuard(unsigned lane) noexcept {
+      detail::counter_lane = lane;
+    }
+    ~CounterLaneGuard() { detail::counter_lane = 0; }
+    CounterLaneGuard(const CounterLaneGuard&) = delete;
+    CounterLaneGuard& operator=(const CounterLaneGuard&) = delete;
+  };
+
   // -- metrics ---------------------------------------------------------------
+  //
+  // Read lane 0: exact outside sharded phases (after the fold).
 
   [[nodiscard]] std::size_t edge_count(EdgeKind k) const noexcept {
     return static_cast<std::size_t>(
-        edge_live_[static_cast<std::size_t>(k)].load());
+        lanes_[0].edge_live[static_cast<std::size_t>(k)]);
   }
   [[nodiscard]] std::size_t live_slot_count() const noexcept {
-    return static_cast<std::size_t>(live_slots_.load());
+    return static_cast<std::size_t>(lanes_[0].live_slots);
   }
   [[nodiscard]] std::size_t live_virtual_count() const noexcept {
-    return static_cast<std::size_t>(live_slots_.load() - live_reals_.load());
+    return static_cast<std::size_t>(lanes_[0].live_slots -
+                                    lanes_[0].live_reals);
   }
   /// Bytes currently reserved by all edge-set vectors (bench instrumentation).
   [[nodiscard]] std::size_t edge_set_bytes() const noexcept;
@@ -294,20 +314,26 @@ class Network {
 
   // Change tracking. A peer's rule phase only dirties its own slots, so the
   // per-slot/per-owner marks are written race-free under the engine's
-  // peer-sharded parallelism; the counters are relaxed atomics.
+  // peer-sharded parallelism; the counters live in per-thread lanes.
   std::vector<std::uint8_t> slot_dirty_;    // per slot
   std::vector<std::uint8_t> owner_dirty_;   // per owner
   std::vector<std::uint64_t> slot_digest_;  // per slot baseline
   std::vector<std::uint64_t> pub_digest_;   // per slot published-state baseline
   // readers_[o] = sorted owner ids with an edge into one of o's slots.
   std::vector<std::vector<std::uint32_t>> readers_;
-  detail::RelaxedCell<std::int64_t> edge_live_[kEdgeKinds];  // live slots only
-  detail::RelaxedCell<std::int64_t> live_slots_;
-  detail::RelaxedCell<std::int64_t> live_reals_;
-  /// Set when a mutation may have introduced a reference to a dead slot;
-  /// cleared by normalize() once every reference is live again.
-  detail::RelaxedCell<std::uint8_t> dead_refs_;
-  detail::RelaxedCell<std::uint64_t> topo_version_;  // see topology_version()
+  /// One thread's counter deltas. Lane 0 holds the totals; lanes 1.. are
+  /// zero outside sharded phases.
+  struct alignas(64) CounterLane {
+    std::int64_t edge_live[kEdgeKinds] = {};  // live slots only
+    std::int64_t live_slots = 0;
+    std::int64_t live_reals = 0;
+    std::uint64_t topo = 0;  // see topology_version()
+    /// Set when a mutation may have introduced a reference to a dead slot;
+    /// cleared by normalize() once every reference is live again.
+    bool dead_refs = false;
+  };
+  static_assert(alignof(CounterLane) >= 64);
+  std::vector<CounterLane> lanes_ = std::vector<CounterLane>(1);
 
   std::vector<Slot> merge_buf_;  // single-threaded scratch (commit/normalize)
   // rebuild_reader_index scratch (counting-sort buffers)
@@ -315,10 +341,14 @@ class Network {
   std::vector<std::size_t> reader_counts_buf_, reader_cursor_buf_;
   std::vector<std::uint32_t> reader_scatter_buf_;
 
+  [[nodiscard]] CounterLane& lane() noexcept {
+    assert(detail::counter_lane < lanes_.size());
+    return lanes_[detail::counter_lane];
+  }
   void mark_dirty(Slot s) noexcept {
     slot_dirty_[s] = 1;
     owner_dirty_[owner_of(s)] = 1;
-    topo_version_.add(1);
+    ++lane().topo;
   }
   [[nodiscard]] std::uint64_t slot_digest(Slot s) const noexcept;
   /// Digest of the published (cross-peer-readable) part of a slot: aliveness

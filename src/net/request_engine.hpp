@@ -87,7 +87,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -505,11 +504,14 @@ class RequestEngine {
   std::vector<Shard> shards_;
 
   /// Monotonic-searchability ledger: key -> (last resolution round, owner).
+  /// Hashed: the merge looks keys up once per completion, and the one pass
+  /// that walks it (prune_mono_ledger) orders entries by (round, key)
+  /// itself, so the unordered layout cannot leak into outcomes.
   struct MonoEntry {
     std::uint64_t round = 0;
     std::uint32_t owner = 0;
   };
-  std::map<RingPos, MonoEntry> mono_;
+  std::unordered_map<RingPos, MonoEntry> mono_;
   std::deque<RequestRecord> completions_;
   std::uint64_t completions_dropped_ = 0;
   RequestTotals totals_;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "../bench/common.hpp"
 #include "core/engine.hpp"
@@ -222,6 +224,30 @@ TEST(Cli, ThreadsOutsideOneTo256Throws) {
   EXPECT_EQ(bench::BenchConfig::from_cli(cli).threads, 8U);
   const char* none[] = {"prog"};
   EXPECT_EQ(bench::BenchConfig::from_cli(Cli(1, none)).threads, 1U);
+}
+
+// --trials and every --sizes element are counts: a value below 1 is a named
+// option error at parse time, not a std::size_t wrap that later aborts in a
+// vector reserve. Parse level only.
+TEST(Cli, TrialsAndSizesBelowOneThrow) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--trials", "-1"}, {"--trials", "0"}, {"--sizes", "-5"},
+      {"--sizes", "5,0"}};
+  for (const auto& [opt, value] : bad) {
+    const char* argv[] = {"prog", opt, value};
+    const Cli cli(3, argv);
+    try {
+      (void)bench::BenchConfig::from_cli(cli);
+      ADD_FAILURE() << opt << " " << value << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(opt), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"prog", "--sizes", "5,15", "--trials", "1"};
+  const auto cfg = bench::BenchConfig::from_cli(Cli(5, argv));
+  EXPECT_EQ(cfg.sizes, (std::vector<std::size_t>{5, 15}));
+  EXPECT_EQ(cfg.trials, 1U);
 }
 
 }  // namespace

@@ -105,5 +105,77 @@ TEST(Determinism, SerializeReferenceAndIncrementalFixpointDetectorsAgree) {
   }
 }
 
+// The sharded rule phase bumps the network's metric counters in per-shard
+// lanes that are folded into lane 0 after the phase (DESIGN.md §6.7). The
+// folded counters must be exactly the serial ones after every round -- and
+// exactly what the edge sets hold -- through bring-up and a crash/join/leave
+// burst. n = 120 keeps the 8-thread engine above the sharding threshold.
+TEST(Determinism, CounterLanesFoldToSerialCountsEveryRound) {
+  Engine serial(random_net(120, 61, /*scrambled=*/true), {.threads = 1});
+  Engine threaded(random_net(120, 61, /*scrambled=*/true), {.threads = 8});
+  std::size_t rounds_checked = 0;
+  const auto check = [&](const char* when) {
+    const Network& a = serial.network();
+    const Network& b = threaded.network();
+    std::size_t edges[kEdgeKinds] = {};
+    std::size_t slots = 0, virtuals = 0;
+    for (const Slot s : b.live_slots()) {
+      ++slots;
+      if (!is_real_slot(s)) ++virtuals;
+      for (int k = 0; k < kEdgeKinds; ++k)
+        edges[k] += b.edges(s, static_cast<EdgeKind>(k)).size();
+    }
+    for (int k = 0; k < kEdgeKinds; ++k) {
+      const auto kind = static_cast<EdgeKind>(k);
+      ASSERT_EQ(a.edge_count(kind), b.edge_count(kind)) << when << " kind " << k;
+      ASSERT_EQ(b.edge_count(kind), edges[k]) << when << " kind " << k;
+    }
+    ASSERT_EQ(a.live_slot_count(), b.live_slot_count()) << when;
+    ASSERT_EQ(b.live_slot_count(), slots) << when;
+    ASSERT_EQ(a.live_virtual_count(), b.live_virtual_count()) << when;
+    ASSERT_EQ(b.live_virtual_count(), virtuals) << when;
+    ASSERT_EQ(a.alive_owner_count(), b.alive_owner_count()) << when;
+    ASSERT_EQ(a.topology_version(), b.topology_version()) << when;
+  };
+  const auto run = [&](int max_rounds) {
+    for (int r = 0; r < max_rounds; ++r) {
+      const auto ma = serial.step();
+      const auto mb = threaded.step();
+      ASSERT_EQ(ma.changed, mb.changed) << "round " << serial.rounds_executed();
+      ASSERT_NO_FATAL_FAILURE(check("after a round"));
+      ++rounds_checked;
+      if (!ma.changed) return;
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(run(3000));
+  ASSERT_GT(threaded.network().alive_owner_count(), 64U);
+  // The burst: 3 crashes, 3 graceful leaves and 3 joins between two rounds,
+  // applied identically to both engines.
+  util::Rng rng(62);
+  for (int i = 0; i < 3; ++i) {
+    const auto owners = serial.network().live_owners();
+    const std::uint32_t victim = owners[rng.below(owners.size())];
+    serial.crash_peer(victim);
+    threaded.crash_peer(victim);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto owners = serial.network().live_owners();
+    const std::uint32_t leaver = owners[rng.below(owners.size())];
+    serial.leave_peer(leaver);
+    threaded.leave_peer(leaver);
+  }
+  for (int i = 0; i < 3; ++i) {
+    const RingPos id = rng.next();
+    const std::uint32_t contact = serial.network().live_owners()[0];
+    serial.join_peer(id, contact);
+    threaded.join_peer(id, contact);
+  }
+  ASSERT_NO_FATAL_FAILURE(check("after the burst"));
+  ASSERT_NO_FATAL_FAILURE(run(3000));
+  EXPECT_EQ(serial.network().state_fingerprint(),
+            threaded.network().state_fingerprint());
+  EXPECT_GT(rounds_checked, 20U);
+}
+
 }  // namespace
 }  // namespace rechord::core

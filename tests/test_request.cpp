@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -525,6 +526,68 @@ TEST(RequestEngine, MonoLedgerCapBoundsMemory) {
   EXPECT_EQ(bounded.mono_violations, 0U);
   EXPECT_EQ(bounded.fingerprint, unbounded.fingerprint);
   EXPECT_EQ(bounded.resolved, unbounded.resolved);
+}
+
+// Ledger pruning is deterministic whatever the ledger's container: it
+// evicts exactly the entries with the oldest resolution rounds, ties broken
+// by key. A model of the rule, fed from the completion records, predicts the
+// survivors; then one unresolved get per key (no KV store is bound, so every
+// get misses) counts a violation iff the key survived.
+TEST(RequestEngine, MonoLedgerPruneEvictsOldestRoundsTiesByKey) {
+  core::Engine engine = stable_engine(40, 47);
+  RequestOptions opt;
+  opt.mono_ledger_cap = 8;  // prunes to 6 whenever a merge leaves > 8
+  RequestEngine req(engine, opt);
+  const auto owners = engine.network().live_owners();
+  std::map<std::uint64_t, std::string> name_of_id;
+  std::map<RingPos, std::string> name_of_pos;
+  for (int i = 0; i < 24; ++i) {
+    const std::string name = "mono-" + std::to_string(i);
+    const RingPos pos = ident::hash_name(name);
+    name_of_pos[pos] = name;
+    name_of_id[req.submit_lookup(pos, owners[i % owners.size()])] = name;
+  }
+  std::map<RingPos, std::uint64_t> model;  // key -> resolution round
+  std::set<RingPos> evicted;
+  bool tie_at_cutoff = false;
+  for (int guard = 0; req.inflight() > 0 && guard < 500; ++guard) {
+    engine.step();
+    req.on_round();
+    for (const RequestRecord& r : req.completions()) {
+      ASSERT_EQ(r.status, RequestStatus::kResolved);
+      model[ident::hash_name(name_of_id.at(r.id))] = r.completion_round;
+    }
+    req.clear_completions();
+    if (model.size() <= opt.mono_ledger_cap) continue;
+    std::vector<std::pair<std::uint64_t, RingPos>> order;
+    for (const auto& [k, round] : model) order.emplace_back(round, k);
+    std::sort(order.begin(), order.end());
+    const std::size_t drop = model.size() - 6;
+    if (order[drop - 1].first == order[drop].first) tie_at_cutoff = true;
+    for (std::size_t i = 0; i < drop; ++i) {
+      model.erase(order[i].second);
+      evicted.insert(order[i].second);
+    }
+  }
+  ASSERT_EQ(req.inflight(), 0U);
+  ASSERT_EQ(req.mono_ledger_size(), model.size());
+  ASSERT_FALSE(evicted.empty());
+  // The seed is chosen so that some prune splits one round's entries: the
+  // tie-break by key decides which of them survive.
+  ASSERT_TRUE(tie_at_cutoff);
+  for (const auto& [pos, name] : name_of_pos) {
+    const std::uint64_t before = req.totals().mono_violations;
+    req.submit_get(name, owners[0]);
+    for (int guard = 0; req.inflight() > 0 && guard < 500; ++guard) {
+      engine.step();
+      req.on_round();
+    }
+    ASSERT_EQ(req.inflight(), 0U);
+    EXPECT_EQ(req.totals().mono_violations - before, model.count(pos))
+        << name << (evicted.count(pos) ? " (evicted)" : " (kept)");
+  }
+  EXPECT_EQ(req.totals().mono_violations, model.size());
+  EXPECT_EQ(req.mono_ledger_size(), model.size());
 }
 
 // The request CSV columns: every round row carries req_inflight/req_done/
