@@ -117,6 +117,9 @@ void Engine::ensure_scheduler_arrays() {
   if (wake_.size() < n) wake_.resize(n, 1);  // new owners run live
   if (skip_.size() < n) skip_.resize(n, 0);
   if (boundary_.size() < n) boundary_.resize(n, 0);
+  // A new owner is woken, so it runs before it can ever be skipped, and
+  // that first run sets or clears its gap: the initial value is never read.
+  if (inbound_gap_.size() < n) inbound_gap_.resize(n, 0);
   if (op_senders_.size() < n) op_senders_.resize(n);
 }
 
@@ -330,6 +333,14 @@ void Engine::compute_skip_set() {
     }
     inflight_ref_owners_.resize(w);
   }
+  // Rule (5), the delivery-gap rule (DESIGN.md §6.6): an owner that missed
+  // an inbound delivery (cut, lost, delayed, or not sent by a sleeper)
+  // replays instead of resting. Replaying a quiescent peer is always exact;
+  // here it also makes every skipped sender into the owner emit its ops, so
+  // the owner ends the round with all of them delivered and its gap clears.
+  // Hence no skipped owner ever carries a gap, which is what lets commit
+  // elide boundary ops between skipped owners (emit_boundary_ops).
+  for (const std::uint32_t o : gap_owners_) skip_[o] = 0;
   if (latency_installed_ && !latency_.trivial())
     for (std::uint32_t o = 0; o < n; ++o) {
       if (!skip_[o]) continue;
@@ -446,7 +457,7 @@ void Engine::run_range(std::size_t begin, std::size_t end,
   // Counted in locals and stored into the shard once at the end: the shard
   // state is written per peer only through its vectors.
   RuleActivity act;
-  std::size_t n_active = 0, n_replayed = 0, n_skipped = 0, n_boundary = 0;
+  std::size_t n_active = 0, n_replayed = 0, n_skipped = 0;
   std::uint64_t n_mismatch = 0;
   const bool active = active_mode();
   // In latency rounds, each peer's contiguous op span is recorded as
@@ -473,15 +484,13 @@ void Engine::run_range(std::size_t begin, std::size_t end,
         ++n_skipped;
         act += pc->activity;
         if (boundary_[owner]) {
-          // Emit-only (translation closure, DESIGN.md §6.6): a downstream
-          // owner runs this round, so the peer's cached ops must reach the
-          // commit -- inject them verbatim, exactly the emission a replay
-          // would produce. Deliveries into still-skipped targets are
-          // duplicate set insertions: no-ops that leave digests and dirty
-          // marks untouched, so no spurious wakes follow.
-          ++n_boundary;
-          out.insert(out.end(), pc->ops.begin(), pc->ops.end());
-          note_src();
+          // Emit-only (translation closure, DESIGN.md §6.6): an owner the
+          // peer's cached ops reference runs this round, so those ops must
+          // reach the commit. Which owners run is only final after the
+          // deferred pass, so the peer goes to the shard's side buffer and
+          // commit emits the ops that can change something
+          // (emit_boundary_ops).
+          sh.emit_only.push_back(owner);
         }
         continue;
       }
@@ -613,7 +622,6 @@ void Engine::run_range(std::size_t begin, std::size_t end,
   sh.active = n_active;
   sh.replayed = n_replayed;
   sh.skipped = n_skipped;
-  sh.boundary = n_boundary;
   sh.mismatch = n_mismatch;
 }
 
@@ -625,9 +633,17 @@ void Engine::run_peers() {
   // persists until it actually runs live.
   if (opt_.sleep_probability > 0.0) {
     std::size_t w = 0;
-    for (std::uint32_t o : owners_)
-      if (!fault_coin(opt_.fault_seed, round_, o, opt_.sleep_probability))
+    for (std::uint32_t o : owners_) {
+      if (!fault_coin(opt_.fault_seed, round_, o, opt_.sleep_probability)) {
         owners_[w++] = o;
+        continue;
+      }
+      // A sleeper sends none of its cached ops: every owner they reference
+      // misses a delivery this round (inbound gap, DESIGN.md §6.6).
+      if (active_mode() && cache_[o].valid)
+        gap_events_.insert(gap_events_.end(), cache_[o].op_owners.begin(),
+                           cache_[o].op_owners.end());
+    }
     owners_.resize(w);
   }
   const unsigned threads =
@@ -642,8 +658,9 @@ void Engine::run_peers() {
     sh.ran.clear();
     sh.op_src.clear();
     sh.pending_evict.clear();
+    sh.emit_only.clear();
     sh.activity = RuleActivity{};
-    sh.active = sh.replayed = sh.skipped = sh.boundary = 0;
+    sh.active = sh.replayed = sh.skipped = 0;
     sh.mismatch = 0;
   }
   tail_op_src_.clear();
@@ -680,7 +697,6 @@ void Engine::run_peers() {
 
 void Engine::apply_deferred_evictions() {
   deferred_replays_ = 0;
-  deferred_boundary_ = 0;
   if (!lazy_evict_round_) return;
   // Gathering in shard order visits the pending entries in the runners'
   // ascending-owner order -- the serial order -- so the deferred pass is
@@ -703,7 +719,7 @@ void Engine::apply_deferred_evictions() {
   for (const std::uint32_t d : phase_b_) {
     if (tracing)
       tr.note({round_, d, 0, 0, 0, 0, util::TraceKind::kDeferredEvict});
-    std::size_t base = ops_.size();
+    const std::size_t base = ops_.size();
     replay_peer(d, cache_[d], ops_, discard);
     ++deferred_replays_;
     shards_[0].ran.push_back(d);
@@ -717,17 +733,66 @@ void Engine::apply_deferred_evictions() {
     for (const std::uint32_t u : op_senders_[d]) {
       if (!skip_[u] || boundary_[u]) continue;
       boundary_[u] = 1;
-      ++deferred_boundary_;
+      shards_[0].emit_only.push_back(u);
       if (tracing)
         tr.note({round_, u, d, 0, 0, 0, util::TraceKind::kBoundaryInject});
-      const PeerCache& uc = cache_[u];
-      base = ops_.size();
-      ops_.insert(ops_.end(), uc.ops.begin(), uc.ops.end());
-      if (latency_round_ && ops_.size() > base)
-        tail_op_src_.emplace_back(
-            u, static_cast<std::uint32_t>(ops_.size() - base));
     }
   }
+}
+
+void Engine::emit_boundary_ops() {
+  // The emit-only injections of the translation closure (DESIGN.md §6.6),
+  // cut to the ops that can change something. Once the deferred pass has
+  // run, an op whose target and payload owners both stay skipped
+  // re-delivers an edge its target already holds -- the delivery-gap
+  // invariant: the op was delivered, with the same resolution, in the last
+  // round either owner ran (skip rule (5) keeps every owner that missed a
+  // delivery since out of the skip set), and neither owner's slots have
+  // moved since. Every other op is appended, so the commit applies exactly
+  // the full scan's changes. A peer whose referenced owners all stay
+  // skipped -- a stale op-sender entry made it boundary -- is passed over
+  // whole.
+  // Routing is not needed: a skipped peer has no nonzero-delay op (skip
+  // rule (4)), so each op here routes at delay 0; and a round with skipped
+  // peers has no loss coins, so its commit is independent of op order.
+  const auto runs = [this](std::uint32_t o) { return skip_[o] == 0; };
+  for (const ShardState& sh : shards_)
+    for (const std::uint32_t u : sh.emit_only) {
+      if (!skip_[u]) continue;  // deferred-replayed: the replay emitted all
+      const PeerCache& pc = cache_[u];
+      if (std::none_of(pc.op_owners.begin(), pc.op_owners.end(), runs)) {
+        boundary_ops_elided_ += pc.ops.size();
+        continue;
+      }
+      for (const DelayedOp& op : pc.ops) {
+        if (!runs(owner_of(op.target)) && !runs(owner_of(op.payload))) {
+          ++boundary_ops_elided_;
+          continue;
+        }
+        assert(!latency_round_ ||
+               latency_.delay(datacenter_of(u),
+                              datacenter_of(owner_of(op.target)), round_, u,
+                              op) == 0);
+        ops_.push_back(op);
+      }
+    }
+}
+
+void Engine::update_inbound_gaps() {
+  // Clears first, then this round's events: an owner that ran keeps a gap
+  // only if a delivery to it was cut, lost, delayed or not sent this round.
+  for (const ShardState& sh : shards_)
+    for (const std::uint32_t o : sh.ran) inbound_gap_[o] = 0;
+  std::size_t w = 0;
+  for (const std::uint32_t o : gap_owners_)
+    if (inbound_gap_[o]) gap_owners_[w++] = o;
+  gap_owners_.resize(w);
+  for (const std::uint32_t o : gap_events_)
+    if (!inbound_gap_[o]) {
+      inbound_gap_[o] = 1;
+      gap_owners_.push_back(o);
+    }
+  gap_events_.clear();
 }
 
 WorkerPool& Engine::shared_worker_pool(unsigned ways) {
@@ -766,6 +831,8 @@ void Engine::route_inflight() {
         route_buf_.push_back(op);
         continue;
       }
+      // Delivered d rounds late: until then the target misses the edge.
+      if (active_mode()) gap_events_.push_back(owner_of(op.target));
       while (inflight_.size() < d) inflight_.emplace_back();
       inflight_[d - 1].push_back(op);
       ++inflight_count_;
@@ -847,15 +914,13 @@ RoundMetrics Engine::step() {
     active_peers += sh.active;
     replayed_peers += sh.replayed;
     skipped_peers += sh.skipped;
-    boundary_peers += sh.boundary;
+    boundary_peers += sh.emit_only.size();  // incl. the deferred injections
     replay_mismatches_ += sh.mismatch;
   }
   // Deferred rule-(2) replays ran after the skip branch already counted
-  // them as skipped; recount them as the replays they were, and count the
-  // emit-only injections the deferred pass added.
+  // them as skipped; recount them as the replays they were.
   skipped_peers -= deferred_replays_;
   replayed_peers += deferred_replays_;
-  boundary_peers += deferred_boundary_;
   if (active && !mass_reg_pending_) {
     util::ScopedPhase span(util::Phase::kIndexRegister);
     // Reader and op-sender entries for this round's live runs, derived
@@ -893,7 +958,9 @@ RoundMetrics Engine::step() {
       }
   }
 
-  // Commit: deliver all delayed assignments simultaneously. A message to a
+  // Commit: deliver all delayed assignments simultaneously -- the round's
+  // live and replayed emissions plus the boundary injections that can
+  // change something (emit_boundary_ops). A message to a
   // meanwhile-deleted virtual node is absorbed by the owning peer's u_m (see
   // DESIGN.md: ghost re-homing); a message to or from a departed peer is
   // dropped. Set insertion into the sorted edge sets is commutative, so the
@@ -906,6 +973,7 @@ RoundMetrics Engine::step() {
   //     group by (target, kind) and bulk-merge each group in one pass.
   {
   util::ScopedPhase commit_span(util::Phase::kCommit);
+  if (active) emit_boundary_ops();
   auto resolve = [this](Slot s) -> Slot {
     if (net_.alive(s)) return s;
     const std::uint32_t owner = owner_of(s);
@@ -916,6 +984,7 @@ RoundMetrics Engine::step() {
     for (const DelayedOp& op : ops_) {
       if (partition_active_ && partition_cut(op.target, op.payload)) {
         ++partition_dropped_;
+        if (active) gap_events_.push_back(owner_of(op.target));
         continue;
       }
       const Slot target = resolve(op.target);
@@ -930,12 +999,14 @@ RoundMetrics Engine::step() {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       if (partition_active_ && partition_cut(ops_[i].target, ops_[i].payload)) {
         ++partition_dropped_;
+        if (active) gap_events_.push_back(owner_of(ops_[i].target));
         continue;
       }
       if (opt_.message_loss > 0.0 &&
           fault_coin(opt_.fault_seed ^ 0xD70Full, round_, i,
                      opt_.message_loss)) {
         ++dropped_;
+        if (active) gap_events_.push_back(owner_of(ops_[i].target));
         continue;
       }
       const Slot target = resolve(ops_[i].target);
@@ -967,6 +1038,7 @@ RoundMetrics Engine::step() {
       net_.add_edges_bulk(target, kind, payload_buf_);
     }
   }
+  if (active) update_inbound_gaps();
   }
   {
   util::ScopedPhase publish_span(util::Phase::kPublishNormalize);

@@ -38,13 +38,16 @@
 // every round, O(n) peers for the O(n) rounds of the convergence tail.
 // Instead of evicting, the scheduler demotes such a peer to EMIT-ONLY
 // ("boundary"): it stays skipped -- no rules, no replay, no delta, no
-// publish -- and only its cached ops are injected verbatim into the round's
-// op stream. Injection is exactly a replay minus the delta application and
+// publish -- and only its cached ops are injected into the round's op
+// stream. Injection is exactly a replay minus the delta application and
 // the rl/rr republish, and both omissions are sound: the peer's own
 // removal/re-add pair is suppressed as a pair (its upstream is skipped
-// too), and a duplicate delivery into a skipped target is a set-level
-// no-op that leaves digests untouched (network.cpp documents that
-// guarantee). Evictions therefore never propagate upstream: each round's
+// too). Of the injected ops, commit delivers only those that can change
+// something: an op whose target and payload owners both stay skipped is
+// elided unless the target carries an INBOUND GAP -- a delivery addressed
+// to it was cut, lost, delayed or slept through since it last ran with
+// every inbound op delivered (DESIGN.md §6.6 states the invariant and its
+// proof). Evictions therefore never propagate upstream: each round's
 // real work tracks the O(frontier) peers whose state genuinely moves, and
 // the exact-fixpoint tail costs O(total chain length) live peer-rounds
 // instead of O(n * rounds). At the fixpoint every peer is skipped and a
@@ -59,6 +62,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -96,7 +100,13 @@ struct RoundMetrics {
   /// Subset of skipped_peers demoted to emit-only by the translation
   /// closure (DESIGN.md §6.6): still skipped -- no rules, no replay, no
   /// delta, no publish -- but their cached ops were injected into the
-  /// round's op stream because a downstream owner runs live this round.
+  /// round's op stream because an owner they reference runs this round.
+  /// Commit delivers an injected op only when its target or payload owner
+  /// runs this round, or its target carries an inbound gap. The elided rest
+  /// are provably duplicate inserts by the delivery-gap invariant: an owner
+  /// without a gap received every cached op addressed to it in the last
+  /// round it ran, and a skipped owner's edges and the resolution of a
+  /// skipped payload have not moved since.
   std::size_t boundary_peers = 0;
   /// Delayed assignments still in the latency model's in-flight queue at the
   /// end of the round (0 without a nontrivial model, DESIGN.md §8).
@@ -329,6 +339,25 @@ class Engine {
   [[nodiscard]] bool owner_was_boundary(std::uint32_t owner) const noexcept {
     return owner < boundary_.size() && boundary_[owner] != 0;
   }
+  /// True when `owner` carries an inbound delivery gap after the most
+  /// recent step(): commit keeps every boundary op addressed to it until a
+  /// round in which it runs with all its inbound ops delivered (test
+  /// instrumentation; owners the scheduler has not seen yet carry one).
+  [[nodiscard]] bool owner_has_inbound_gap(std::uint32_t owner) const noexcept {
+    return owner >= inbound_gap_.size() || inbound_gap_[owner] != 0;
+  }
+  /// The cached delayed ops of `owner` -- what an emit-only injection of the
+  /// peer offers to commit (test instrumentation; empty without a valid
+  /// cache).
+  [[nodiscard]] std::span<const DelayedOp> cached_ops(
+      std::uint32_t owner) const noexcept {
+    if (owner >= cache_.size() || !cache_[owner].valid) return {};
+    return cache_[owner].ops;
+  }
+  /// Boundary-injected ops that commit elided as duplicate inserts so far.
+  [[nodiscard]] std::uint64_t boundary_ops_elided() const noexcept {
+    return boundary_ops_elided_;
+  }
 
   /// Worker-pool hook for subsystems that run their own sharded phases
   /// between rounds on the ENGINE's threads (the request engine's custody
@@ -477,7 +506,11 @@ class Engine {
     /// against its delta, the paranoid cross-check against all of it.
     PeerCache paranoid_prev;
     RuleActivity activity;
-    std::size_t active = 0, replayed = 0, skipped = 0, boundary = 0;
+    /// The emit-only (boundary) peers, in run order -- the side buffer
+    /// emit_boundary_ops() reads their cached ops from once the deferred
+    /// pass has fixed which owners run.
+    std::vector<std::uint32_t> emit_only;
+    std::size_t active = 0, replayed = 0, skipped = 0;
     std::uint64_t mismatch = 0;
   };
   static_assert(alignof(ShardState) >= 64);
@@ -514,11 +547,27 @@ class Engine {
   /// reference neighborhood of every woken peer.
   bool lazy_evict_round_ = false;
   std::vector<std::uint32_t> phase_b_;          // deferred replays, in order
+  /// Per owner: inbound delivery gap (DESIGN.md §6.6). Clear means every
+  /// op that a valid cache addresses to the owner was delivered in the last
+  /// round the owner ran (live, replayed or deferred-replayed), so while the
+  /// owner stays skipped a re-delivery is a duplicate insert. Set when a
+  /// delivery to the owner is cut (partition), lost (loss coin), delayed
+  /// (latency queue) or not sent (a sender with a cache into it sleeps);
+  /// cleared at the end of a round in which the owner ran and no such event
+  /// hit it. Skip rule (5) keeps every flagged owner out of the skip set, so
+  /// a skipped owner never carries a gap.
+  std::vector<std::uint8_t> inbound_gap_;
+  /// The flagged owners (each listed once), compacted every round, so the
+  /// rule-(5) eviction visits the flagged owners only -- never all n.
+  std::vector<std::uint32_t> gap_owners_;
+  /// This round's gap events (owner ids), applied after the clears of the
+  /// owners that ran -- O(events + ran) per round.
+  std::vector<std::uint32_t> gap_events_;
+  std::uint64_t boundary_ops_elided_ = 0;  // see boundary_ops_elided()
   /// Emission spans of the deferred pass, appended after the shard spans in
   /// route_inflight's walk (deferred ops sit at the tail of ops_).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tail_op_src_;
-  std::size_t deferred_replays_ = 0;   // this round, for the metric recount
-  std::size_t deferred_boundary_ = 0;  // ditto
+  std::size_t deferred_replays_ = 0;  // this round, for the metric recount
   /// Storm mode, re-decided every round: when a majority of live peers is
   /// digest-woken (mass churn / early convergence), recording caches and
   /// registering index entries costs more than it can ever save, so live
@@ -567,6 +616,8 @@ class Engine {
   void apply_wakes();
   void compute_skip_set();
   void apply_deferred_evictions();
+  void emit_boundary_ops();
+  void update_inbound_gaps();
   void route_inflight();
   void note_op_sender(std::uint32_t referenced, std::uint32_t sender);
   void rebuild_flow_indices();
