@@ -448,6 +448,158 @@ TEST(Scheduler, FaultWindowClosureReArmsRestingSkip) {
   }
 }
 
+// -- boundary-op elision and the delivery-gap invariant (DESIGN.md §6.6) ----
+
+enum class Window { kPartition, kLoss, kSleep };
+
+// Four engines -- {active, full scan} x {1, 8} threads -- on one stabilized
+// network. The two crashes keep the post-window tail long enough for the
+// translation closure (and with it the boundary elision) to engage.
+std::vector<Engine> fault_window_engines(std::size_t n, std::uint64_t seed) {
+  std::vector<Engine> engines;
+  for (const bool full : {false, true})
+    for (const unsigned threads : {1U, 8U})
+      engines.emplace_back(random_net(n, seed, /*scrambled=*/false),
+                           EngineOptions{.threads = threads, .full_scan = full});
+  RunOptions opt;
+  opt.max_rounds = 20000;
+  for (Engine& e : engines) {
+    const auto spec = StableSpec::compute(e.network());
+    EXPECT_TRUE(run_to_stable(e, spec, opt).stabilized);
+  }
+  return engines;
+}
+
+void open_window(Engine& e, Window w) {
+  switch (w) {
+    case Window::kPartition: {
+      std::vector<std::uint8_t> group(e.network().owner_count(), 0);
+      for (std::size_t o = 0; o < group.size(); ++o) group[o] = o % 2;
+      e.set_partition(std::move(group));
+      break;
+    }
+    case Window::kLoss: e.set_message_loss(0.2); break;
+    case Window::kSleep: e.set_sleep_probability(0.2); break;
+  }
+}
+
+void close_window(Engine& e) {
+  e.clear_partition();
+  e.set_message_loss(0.0);
+  e.set_sleep_probability(0.0);
+}
+
+// Steps every engine once; all must agree on the fingerprint and verdict.
+bool step_all_in_lockstep(std::vector<Engine>& engines, int round) {
+  bool changed = false;
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const auto mt = engines[i].step();
+    if (i == 0) changed = mt.changed;
+    EXPECT_EQ(mt.changed, changed) << "engine " << i << " round " << round;
+    EXPECT_EQ(engines[i].network().state_fingerprint(),
+              engines[0].network().state_fingerprint())
+        << "engine " << i << " round " << round;
+  }
+  return changed;
+}
+
+// Per-round lockstep through a partition, a loss and a sleep window, each
+// followed by the heal and a run to the exact fixpoint. Right after a
+// window, a boundary op into a resting owner may be the one delivery that
+// owner missed; eliding it would reach the fixpoint rounds later than the
+// full scan (the failure of an unguarded filter).
+TEST(Scheduler, BoundaryElisionLockstepThroughFaultWindowsToFixpoint) {
+  for (const Window w : {Window::kPartition, Window::kLoss, Window::kSleep}) {
+    auto engines = fault_window_engines(60, 91);
+    for (Engine& e : engines) {
+      const auto owners = e.network().live_owners();
+      e.crash_peer(owners[owners.size() / 3]);
+      e.crash_peer(owners[2 * owners.size() / 3]);
+      open_window(e, w);
+    }
+    int round = 0;
+    for (; round < 6; ++round) step_all_in_lockstep(engines, round);
+    for (Engine& e : engines) close_window(e);
+    bool changed = true;
+    for (; changed && round < 20000; ++round) {
+      changed = step_all_in_lockstep(engines, round);
+      if (HasFailure()) return;
+    }
+    ASSERT_FALSE(changed) << "window " << static_cast<int>(w);
+    const auto spec = StableSpec::compute(engines[0].network());
+    for (const Engine& e : engines) EXPECT_TRUE(spec.exact_match(e.network()));
+  }
+}
+
+// The counterexample to an unguarded filter: the partition window of
+// ScenarioEngine.PartitionWindowBitIdenticalAndHeals, checked every round
+// after the heal instead of only at the fixpoint. A boundary sender's op
+// into a resting owner was cut during the partition and must be delivered
+// after the heal. The owners that missed a delivery carry an inbound gap,
+// and the next round runs every one of them instead of skipping it -- so
+// the ops addressed to them are kept.
+TEST(Scheduler, PartitionCutBoundaryOpIsDeliveredAfterHeal) {
+  std::vector<Engine> engines;
+  for (const bool full : {false, true})
+    for (const unsigned threads : {1U, 8U}) {
+      util::Rng rng(23);
+      engines.emplace_back(
+          gen::make_network(gen::Topology::kRandomConnected, 40, rng),
+          EngineOptions{.threads = threads, .full_scan = full});
+    }
+  RunOptions opt;
+  opt.max_rounds = 20000;
+  for (Engine& e : engines) {
+    const auto spec = StableSpec::compute(e.network());
+    ASSERT_TRUE(run_to_stable(e, spec, opt).stabilized);
+    open_window(e, Window::kPartition);
+  }
+  int round = 0;
+  for (; round < 6; ++round) step_all_in_lockstep(engines, round);
+  for (Engine& e : engines) close_window(e);
+  Engine& active = engines[0];
+  std::vector<std::uint32_t> gapped;
+  for (const std::uint32_t o : active.network().live_owners())
+    if (active.owner_has_inbound_gap(o)) gapped.push_back(o);
+  EXPECT_FALSE(gapped.empty());
+  bool changed = step_all_in_lockstep(engines, round++);
+  for (const std::uint32_t o : gapped)
+    EXPECT_FALSE(active.owner_was_skipped(o)) << "gap-flagged owner " << o;
+  for (; changed && round < 20000; ++round)
+    changed = step_all_in_lockstep(engines, round);
+  EXPECT_FALSE(changed);
+}
+
+// The elision demonstrably engages in a fault-free crash-recovery tail, and
+// no owner carries a gap there.
+TEST(Scheduler, BoundaryElisionEngagesInCrashRecoveryTail) {
+  Engine active(random_net(150, 57, /*scrambled=*/false), {});
+  Engine full(random_net(150, 57, /*scrambled=*/false), {.full_scan = true});
+  RunOptions opt;
+  opt.max_rounds = 20000;
+  for (Engine* e : {&active, &full}) {
+    const auto spec = StableSpec::compute(e->network());
+    ASSERT_TRUE(run_to_stable(*e, spec, opt).stabilized);
+    const auto owners = e->network().live_owners();
+    for (const std::size_t k : {1U, 2U, 3U})
+      e->crash_peer(owners[k * owners.size() / 4]);
+  }
+  const std::uint64_t elided_before = active.boundary_ops_elided();
+  bool changed = true;
+  for (int r = 0; changed && r < 20000; ++r) {
+    const auto ma = active.step();
+    const auto mf = full.step();
+    ASSERT_EQ(ma.changed, mf.changed) << "round " << r;
+    ASSERT_EQ(active.network().state_fingerprint(),
+              full.network().state_fingerprint())
+        << "round " << r;
+    changed = ma.changed;
+  }
+  EXPECT_GT(active.boundary_ops_elided(), elided_before);
+  for (const std::uint32_t o : active.network().live_owners())
+    EXPECT_FALSE(active.owner_has_inbound_gap(o)) << "owner " << o;
+}
+
 // -- multi-datacenter latency model (DESIGN.md §8) ---------------------------
 
 // Mixed delay classes: datacenter by owner parity, asymmetric cross-dc
