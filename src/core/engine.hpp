@@ -44,9 +44,9 @@
 // removal/re-add pair is suppressed as a pair (its upstream is skipped
 // too). Of the injected ops, commit delivers only those that can change
 // something: an op whose target and payload owners both stay skipped is
-// elided unless the target carries an INBOUND GAP -- a delivery addressed
-// to it was cut, lost, delayed or slept through since it last ran with
-// every inbound op delivered (DESIGN.md §6.6 states the invariant and its
+// elided. That is exact because an owner with an INBOUND GAP -- a delivery
+// addressed to it was cut, lost, delayed or slept through since it last ran
+// -- is never skipped (DESIGN.md §6.6.1 states the invariant and its
 // proof). Evictions therefore never propagate upstream: each round's
 // real work tracks the O(frontier) peers whose state genuinely moves, and
 // the exact-fixpoint tail costs O(total chain length) live peer-rounds
@@ -62,7 +62,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,11 +101,11 @@ struct RoundMetrics {
   /// delta, no publish -- but their cached ops were injected into the
   /// round's op stream because an owner they reference runs this round.
   /// Commit delivers an injected op only when its target or payload owner
-  /// runs this round, or its target carries an inbound gap. The elided rest
-  /// are provably duplicate inserts by the delivery-gap invariant: an owner
-  /// without a gap received every cached op addressed to it in the last
-  /// round it ran, and a skipped owner's edges and the resolution of a
-  /// skipped payload have not moved since.
+  /// runs this round. The elided rest are provably duplicate inserts by the
+  /// delivery-gap invariant (DESIGN.md §6.6.1): an owner that missed a
+  /// delivery is never skipped, so each elided op was delivered in the last
+  /// round its target or payload owner ran, and neither owner's slots have
+  /// moved since.
   std::size_t boundary_peers = 0;
   /// Delayed assignments still in the latency model's in-flight queue at the
   /// end of the round (0 without a nontrivial model, DESIGN.md §8).
@@ -340,19 +339,11 @@ class Engine {
     return owner < boundary_.size() && boundary_[owner] != 0;
   }
   /// True when `owner` carries an inbound delivery gap after the most
-  /// recent step(): commit keeps every boundary op addressed to it until a
+  /// recent step(): the scheduler runs it instead of skipping it until a
   /// round in which it runs with all its inbound ops delivered (test
   /// instrumentation; owners the scheduler has not seen yet carry one).
   [[nodiscard]] bool owner_has_inbound_gap(std::uint32_t owner) const noexcept {
     return owner >= inbound_gap_.size() || inbound_gap_[owner] != 0;
-  }
-  /// The cached delayed ops of `owner` -- what an emit-only injection of the
-  /// peer offers to commit (test instrumentation; empty without a valid
-  /// cache).
-  [[nodiscard]] std::span<const DelayedOp> cached_ops(
-      std::uint32_t owner) const noexcept {
-    if (owner >= cache_.size() || !cache_[owner].valid) return {};
-    return cache_[owner].ops;
   }
   /// Boundary-injected ops that commit elided as duplicate inserts so far.
   [[nodiscard]] std::uint64_t boundary_ops_elided() const noexcept {
