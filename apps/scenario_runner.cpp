@@ -194,7 +194,7 @@ int run_one(const sim::ScenarioInfo& info, const sim::ScenarioParams& params,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto& registry = sim::scenario_registry();
 
@@ -238,4 +238,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   return run_one(*info, params, cli.csv_path(), obs);
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -10,7 +10,7 @@
 #include "core/convergence.hpp"
 #include "gen/topologies.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
                    "rechord_rounds"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

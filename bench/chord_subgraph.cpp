@@ -17,7 +17,7 @@
 #include "core/projection.hpp"
 #include "gen/topologies.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
                   {"n", "succ_pct", "pred_pct", "finger_pct", "seam_pct"},
                   csv_rows);
   return all_core ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -68,7 +68,7 @@ std::string pct(std::size_t num, std::size_t den) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
   if (!cli.has("sizes")) cfg.sizes = {24};
@@ -118,4 +118,8 @@ int main(int argc, char** argv) {
                    "msgs_dropped"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -9,7 +9,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto cfg = bench::BenchConfig::from_cli(cli);
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
                    "sd_virtual", "sd_normal", "sd_connection"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -9,7 +9,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto cfg = bench::BenchConfig::from_cli(cli);
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
                    "sd_almost"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

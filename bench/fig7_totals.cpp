@@ -6,7 +6,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto cfg = bench::BenchConfig::from_cli(cli);
@@ -60,4 +60,8 @@ int main(int argc, char** argv) {
 
   bench::emit_csv(cfg.csv_path, {"n", "total_nodes", "total_edges"}, csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

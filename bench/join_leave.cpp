@@ -10,7 +10,7 @@
 
 #include "sim/scenario.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                    "leave_exact", "crash_integ"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -20,7 +20,7 @@
 #include "core/projection.hpp"
 #include "gen/topologies.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -111,4 +111,8 @@ int main(int argc, char** argv) {
                    "success_pct", "listwalk_hops"},
                   csv_rows);
   return walk_always_succeeds ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

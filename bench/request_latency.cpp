@@ -50,7 +50,7 @@ void churn_op(core::Engine& engine, util::Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
   if (!cli.has("sizes")) cfg.sizes = {1000, 10000};
@@ -151,4 +151,8 @@ int main(int argc, char** argv) {
     std::printf("(csv written to %s)\n", cfg.csv_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -168,7 +168,7 @@ CellResult run_cell(const core::Network& base, std::size_t n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bench::ProfileGuard prof(cli);
   bench::BenchJson json(cli.get("json", ""));
@@ -305,4 +305,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

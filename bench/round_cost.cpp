@@ -162,7 +162,7 @@ void write_table_csv(const util::Table& table, const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bench::ProfileGuard prof(cli);
   bench::BenchJson json(cli.get("json", ""));
@@ -315,4 +315,8 @@ int main(int argc, char** argv) {
     if (!assert_ok) return 1;
   }
   return tail_ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -10,7 +10,7 @@
 #include "core/convergence.hpp"
 #include "gen/topologies.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 32));
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total.cedge_forwards +
                                               total.cedge_resolves));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

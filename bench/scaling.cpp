@@ -8,7 +8,7 @@
 
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
                    "total_edges", "ms_per_run"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -8,7 +8,7 @@
 #include "core/convergence.hpp"
 #include "gen/topologies.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   auto cfg = bench::BenchConfig::from_cli(cli);
@@ -58,4 +58,8 @@ int main(int argc, char** argv) {
                                  "rounds_almost"},
                   csv_rows);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -14,7 +14,7 @@
 #include "sim/scenario.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   sim::ScenarioParams params;
@@ -72,4 +72,8 @@ int main(int argc, char** argv) {
               "that gap is the paper's contribution.\n",
               rechord_failures == 0 ? "every" : "NOT every");
   return rechord_failures == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

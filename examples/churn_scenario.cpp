@@ -16,7 +16,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   sim::ScenarioParams params;
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
                                "topology."
                              : "SOME OPERATIONS FAILED");
   return out.ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

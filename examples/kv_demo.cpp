@@ -36,7 +36,7 @@ std::size_t count_found(const dht::KvStore& kv, const dht::RoutingView& view,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 16));
   const auto keys = static_cast<int>(cli.get_int("keys", 60));
@@ -119,4 +119,8 @@ int main(int argc, char** argv) {
               "operation;\nthe DHT stayed serviceable throughout -- the "
               "application-level payoff\nof self-stabilization (Fact 2.1).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

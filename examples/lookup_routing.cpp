@@ -17,7 +17,7 @@
 #include "ident/hashing.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 64));
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
               hops.mean(), hops.count(),
               std::log2(static_cast<double>(n)));
   return failures == 0 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

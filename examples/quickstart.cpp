@@ -13,7 +13,7 @@
 #include "gen/topologies.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int("n", 24));
@@ -70,4 +70,8 @@ int main(int argc, char** argv) {
               cov.pred_total, cov.finger_covered, cov.finger_total,
               cov.wrapped_covered, cov.wrapped_total);
   return result.stabilized && result.spec_exact ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -22,7 +22,7 @@
 #include "util/cli.hpp"
 #include "util/trace.hpp"
 
-int main(int argc, char** argv) {
+static int run_main(int argc, char** argv) {
   using namespace rechord;
   const util::Cli cli(argc, argv);
   const std::string name =
@@ -96,4 +96,8 @@ int main(int argc, char** argv) {
               "analyze:   jq 'select(.event==\"req-bounce\")' < %s\n",
               chrome_path.c_str(), jsonl_path.c_str());
   return out.ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return rechord::util::guarded_main(argc, argv, run_main);
 }

@@ -5,7 +5,9 @@
 // but consume different subsets).
 
 #include <cstdint>
+#include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,5 +56,20 @@ class Cli {
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
 };
+
+/// Runs a program's main body and turns a rejected command-line value --
+/// the std::invalid_argument the option parsers throw (BenchConfig::from_cli,
+/// engine_options_from_cli, ...) -- into its message on stderr and exit
+/// code 2, instead of an abort on an uncaught exception. Every bench,
+/// example and app main goes through it.
+template <class Body>
+int guarded_main(int argc, char** argv, Body body) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << '\n';
+    return 2;
+  }
+}
 
 }  // namespace rechord::util
