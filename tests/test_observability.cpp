@@ -18,6 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "core/convergence.hpp"
+#include "core/engine.hpp"
+#include "core/spec.hpp"
+#include "gen/topologies.hpp"
 #include "sim/scenario.hpp"
 #include "util/metrics_registry.hpp"
 #include "util/profiler.hpp"
@@ -230,6 +234,33 @@ TEST(ProfilerTest, ScopedPhaseRecordsOnlyWhenEnabled) {
   ASSERT_EQ(snap.size(), 1U);
   EXPECT_EQ(snap[0].first, Phase::kCommit);
   EXPECT_EQ(snap[0].second.count, 1U);
+}
+
+// Every step-time nanosecond of a crash recovery lands in a named phase:
+// the boundary-op filter and append run inside the commit span, so the
+// recovery tail -- where they carry the most work -- leaves under 1% of
+// kStepTotal unattributed.
+TEST(ProfilerTest, CrashRecoveryStepTimeIsAttributedToNamedPhases) {
+  const ObsSingletonGuard guard;
+  util::Rng rng(7);
+  core::Engine engine(
+      gen::make_network(gen::Topology::kRandomConnected, 400, rng), {});
+  core::RunOptions opt;
+  opt.max_rounds = 20000;
+  ASSERT_TRUE(
+      core::run_to_stable(engine, core::StableSpec::compute(engine.network()),
+                          opt)
+          .stabilized);
+  const auto owners = engine.network().live_owners();
+  for (const std::size_t k : {1U, 2U, 3U})
+    engine.crash_peer(owners[k * owners.size() / 4]);
+  auto& prof = util::Profiler::instance();
+  prof.set_enabled(true);
+  const auto spec = core::StableSpec::compute(engine.network());
+  const auto res = core::run_to_stable(engine, spec, opt);
+  prof.set_enabled(false);
+  EXPECT_TRUE(res.stabilized && res.spec_exact);
+  EXPECT_GE(prof.attributed_fraction(), 0.99);
 }
 
 TEST(ProfilerTest, AttributesTheRoundPipelineToNamedPhases) {
