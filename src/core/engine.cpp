@@ -218,8 +218,9 @@ void Engine::compute_skip_set() {
   //       would resolve the op differently at commit. Either way the peer
   //       must emit -- which under the TRANSLATION CLOSURE (DESIGN.md
   //       §6.6) does not require replaying: the peer is demoted to
-  //       emit-only ("boundary") -- still skipped, but its cached ops are
-  //       injected verbatim into the round's op stream by run_range. The
+  //       emit-only ("boundary") -- still skipped, but its cached ops
+  //       that reference a running owner are injected into the round's op
+  //       stream at commit (emit_boundary_ops, skip rule (5) below). The
   //       injection is exactly what a replay would emit (the cache IS the
   //       pure phase output), and omitting the replay's delta application
   //       is sound because the peer's own removal/re-add cancellation is
